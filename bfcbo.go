@@ -57,20 +57,13 @@ type Config struct {
 	// DOP is the degree of parallelism for planning and execution;
 	// 0 defaults to 8.
 	DOP int
-	// LegacyExecutor selects the original operator-at-a-time materializing
-	// executor instead of the default morsel-driven pipelined one. It
-	// exists for A/B comparisons; the pipelined executor is the default.
-	// Legacy runs pass admission control and hold one worker slot for
-	// their whole (single-threaded) run, so they queue fairly behind
-	// pipelined queries and report scheduler stats like any other query.
-	LegacyExecutor bool
 	// MemBudget bounds the bytes of operator state the executor holds in
 	// RAM (0 = unlimited). Joins and sorts whose memory grants are denied
 	// spill to temp files (grace hash join / external merge sort) and
 	// still return exact results; spill activity is reported in
 	// Output.Spill and EXPLAIN ANALYZE. All queries of one engine draw
 	// from a single shared broker, so concurrent Run calls share the
-	// budget. Ignored by the legacy executor.
+	// budget.
 	MemBudget int64
 	// SpillDir is the parent directory for spill files ("" = os.TempDir()).
 	// Every run owns — and removes — its own query-scoped spill
@@ -335,16 +328,16 @@ type Output struct {
 	// batch counts and wall times (EXPLAIN ANALYZE style).
 	ExplainAnalyze string
 	// OpStats are the raw per-operator runtime counters in pipeline
-	// execution order (empty when LegacyExecutor is set).
+	// execution order.
 	OpStats []exec.OpStat
 	// Pipelines reports each executed pipeline of the morsel-driven
 	// executor in pipeline-ID order, including the breaker finish wall and
-	// its merge/sort/build/bloom phase split (empty when LegacyExecutor is
-	// set). Pipelines are DAG-scheduled: entries with disjoint dependency
-	// chains ran concurrently, so their walls can overlap.
+	// its merge/sort/build/bloom phase split. Pipelines are DAG-scheduled:
+	// entries with disjoint dependency chains ran concurrently, so their
+	// walls can overlap.
 	Pipelines []exec.PipelineStat
 	// Spill totals the run's spill activity under Config.MemBudget (all
-	// zero for unlimited-budget and legacy runs).
+	// zero for unlimited-budget runs).
 	Spill exec.SpillStat
 	// Sched reports the query's trip through the process-wide scheduler:
 	// admission queue wait, worker-slot wait and occupancy, and
@@ -374,9 +367,8 @@ func (e *Engine) Run(b *query.Block, mode Mode) (*Output, error) {
 // Config.QueueTimeout — and ctx cancellation or deadline expiry (queued
 // or mid-run) stops every pipeline at the next morsel and surfaces
 // ctx.Err(). Any number of RunContext calls may execute concurrently on
-// one Engine; they share the DOP-sized worker-slot pool (legacy-executor
-// runs excepted — see Config.LegacyExecutor) and the memory budget, and
-// each gets its own spill subdirectory.
+// one Engine; they share the DOP-sized worker-slot pool and the memory
+// budget, and each gets its own spill subdirectory.
 //
 // Under Config.Retry, transient failures — overload sheds, admission
 // queue timeouts, injected transient faults — are retried with
@@ -470,7 +462,7 @@ func (e *Engine) runOnce(ctx context.Context, b *query.Block, mode Mode, res *op
 	start := time.Now()
 	tr := obs.NewTrace(8)
 	r, err := exec.RunContext(ctx, e.ds.DB, b, res.Plan, exec.Options{
-		DOP: e.cfg.DOP, Legacy: e.cfg.LegacyExecutor,
+		DOP:    e.cfg.DOP,
 		Broker: e.broker, SpillDir: e.cfg.SpillDir,
 		Sched:   e.sched,
 		Metrics: e.metrics, Trace: tr,

@@ -12,23 +12,18 @@
 //	bench -experiment scaling  # DOP {1,2,4,8} executor scaling on Bloom-heavy queries
 //	bench -experiment memory   # memory-budget × DOP spill grid (BENCH_PR3.json)
 //	bench -experiment concurrency # multi-stream throughput grid (BENCH_PR4.json)
-//	bench -experiment hashtable # map-vs-flat hash-kernel ablation (BENCH_PR5.json)
-//	bench -experiment scan     # scalar-vs-vectorized scan ablation (BENCH_PR6.json)
-//	bench -experiment joinagg  # scalar-vs-batched probe/fold ablation (BENCH_PR7.json)
 //	bench -experiment observability # metrics-vs-stats agreement + trace export (BENCH_PR8.json)
 //	bench -experiment workload # live-inspector + fingerprint-history audit (BENCH_PR9.json)
 //	bench -experiment faults   # fault-injection chaos + disabled-injector anchors (BENCH_PR10.json)
 //	bench -experiment all      # everything
 //
 // A global -mem-budget (e.g. "64MB") constrains the executor in every
-// experiment; -validate <path> checks a BENCH_PR3-style memory report, a
-// BENCH_PR4-style concurrency report, a BENCH_PR8-style observability
-// report, a BENCH_PR9-style workload report, a BENCH_PR10-style faults
-// report, or a Chrome trace-event file (dispatching on content) and
-// exits (the CI bench smoke). -streams
-// narrows the concurrency grid. -obs-listen serves the workload
-// experiment's live endpoints (/debug/queries/live, /debug/workload,
-// /debug/pprof/) while its streams run, so they can be scraped mid-bench.
+// experiment; -validate <path> checks a memory, concurrency,
+// observability, workload or faults report, or a Chrome trace-event file
+// (dispatching on content), and exits. -streams narrows the concurrency
+// grid. -obs-listen serves the workload experiment's live endpoints
+// (/debug/queries/live, /debug/workload, /debug/pprof/) while its streams
+// run, so they can be scraped mid-bench.
 package main
 
 import (
@@ -52,12 +47,12 @@ func main() {
 		seed     = flag.Uint64("seed", 2025, "data generation seed")
 		dop      = flag.Int("dop", 8, "degree of parallelism")
 		reps     = flag.Int("reps", 3, "repetitions per query (first is warm-up)")
-		exp      = flag.String("experiment", "all", "table2|table3|fig1|fig6|naive|mae|ablation|scaling|memory|concurrency|hashtable|scan|joinagg|observability|workload|faults|all")
-		jout     = flag.String("json", "", "machine-readable report path (default: BENCH_PR2.json for table2, BENCH_PR3.json for memory, BENCH_PR4.json for concurrency, BENCH_PR5.json for hashtable, BENCH_PR6.json for scan, BENCH_PR7.json for joinagg; empty = default, \"-\" disables)")
+		exp      = flag.String("experiment", "all", "table2|table3|fig1|fig6|naive|mae|ablation|scaling|memory|concurrency|observability|workload|faults|all")
+		jout     = flag.String("json", "", "machine-readable report path (default: BENCH_PR<n>.json of the experiment's report; empty = default, \"-\" disables)")
 		budget   = flag.String("mem-budget", "", `executor memory budget for all experiments, e.g. "64MB" (empty = unlimited)`)
 		streams  = flag.String("streams", "", `concurrency experiment stream counts, e.g. "1,2,4,8" (empty = default; the streams=1 anchor and one multi-stream cell are always included)`)
 		iters    = flag.Int("iters", 0, "concurrency experiment queries per stream (0 = default)")
-		validate = flag.String("validate", "", "validate a memory or concurrency report at this path and exit")
+		validate = flag.String("validate", "", "validate a report or Chrome trace at this path and exit")
 		obsAddr  = flag.String("obs-listen", "", `serve the workload experiment's observability endpoints on this address (e.g. "127.0.0.1:8099") while it runs`)
 	)
 	flag.Parse()
@@ -82,12 +77,6 @@ func main() {
 			kind, check = "observability report", bench.ValidateObservabilityJSON
 		case bench.IsConcurrencyReport(*validate):
 			kind, check = "concurrency report", bench.ValidateConcurrencyJSON
-		case bench.IsHashtableReport(*validate):
-			kind, check = "hashtable report", bench.ValidateHashtableJSON
-		case bench.IsScanReport(*validate):
-			kind, check = "scan report", bench.ValidateScanJSON
-		case bench.IsJoinAggReport(*validate):
-			kind, check = "joinagg report", bench.ValidateJoinAggJSON
 		}
 		if err := check(*validate); err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
@@ -211,60 +200,6 @@ func run(sf float64, seed uint64, dop, reps int, exp, jsonPath, budget, streamsL
 		bench.PrintConcurrency(w, rows)
 		if out := pathFor("BENCH_PR4.json"); out != "" {
 			if err := h.WriteConcurrencyJSON(out, rows, single); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", out)
-		}
-		return nil
-	}
-	runHashtable := func() error {
-		h, err := mk(false)
-		if err != nil {
-			return err
-		}
-		rows, err := h.RunHashtable(nil, nil)
-		if err != nil {
-			return err
-		}
-		bench.PrintHashtable(w, rows)
-		if out := pathFor("BENCH_PR5.json"); out != "" {
-			if err := h.WriteHashtableJSON(out, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", out)
-		}
-		return nil
-	}
-	runScan := func() error {
-		h, err := mk(false)
-		if err != nil {
-			return err
-		}
-		rows, err := h.RunScan(nil, nil)
-		if err != nil {
-			return err
-		}
-		bench.PrintScan(w, rows)
-		if out := pathFor("BENCH_PR6.json"); out != "" {
-			if err := h.WriteScanJSON(out, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", out)
-		}
-		return nil
-	}
-	runJoinAgg := func() error {
-		h, err := mk(false)
-		if err != nil {
-			return err
-		}
-		rows, err := h.RunJoinAgg(nil, nil)
-		if err != nil {
-			return err
-		}
-		bench.PrintJoinAgg(w, rows)
-		if out := pathFor("BENCH_PR7.json"); out != "" {
-			if err := h.WriteJoinAggJSON(out, rows); err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "wrote %s\n", out)
@@ -477,12 +412,6 @@ func run(sf float64, seed uint64, dop, reps int, exp, jsonPath, budget, streamsL
 		return runMemory()
 	case "concurrency":
 		return runConcurrency()
-	case "hashtable":
-		return runHashtable()
-	case "scan":
-		return runScan()
-	case "joinagg":
-		return runJoinAgg()
 	case "observability":
 		return runObservability()
 	case "workload":
@@ -494,7 +423,7 @@ func run(sf float64, seed uint64, dop, reps int, exp, jsonPath, budget, streamsL
 		for _, f := range []func() error{runTable2, runTable3,
 			func() error { return runFig(12, "Figure 1 — Q12") },
 			func() error { return runFig(7, "Figure 6 — Q7") },
-			runNaive, runMAE, runAblation, runMemory, runConcurrency, runHashtable, runScan, runJoinAgg, runObservability, runWorkload, runFaults} {
+			runNaive, runMAE, runAblation, runMemory, runConcurrency, runObservability, runWorkload, runFaults} {
 			if err := f(); err != nil {
 				return err
 			}

@@ -11,83 +11,18 @@ import (
 	"bfcbo/internal/storage"
 )
 
-// This file provides the small aggregation layer that sits on top of a
-// joined RowSet — enough to compute the TPC-H answer expressions (revenue
-// sums, group counts) that the paper's queries report above their join
-// blocks. Full GROUP BY planning is outside the reproduction's scope; these
-// helpers aggregate the executor's final row set directly.
+// Streaming aggregation: the small aggregation layer that computes the
+// TPC-H answer expressions (revenue sums, group counts) the paper's queries
+// report above their join blocks. Full GROUP BY planning is outside the
+// reproduction's scope. When Options.Aggregates is set, the root
+// pipeline's result sink is an aggregation operator — each worker folds
+// its batches into private partials which are merged once at the end, so
+// the final join output is never materialized.
 //
-// The streaming sink's group hot loops run on flat hashtab.AggTables
-// keyed by interned group codes; Go maps survive only in setup (the
-// interning dictionary), in result materialization (AggValue's public
-// map fields, O(groups) once per query), in the post-hoc helpers below
-// (map-based reference implementations the kernel A/B tests diff
-// against), and in the Options.MapKernels ablation baseline.
-
-// SumFloat sums a float64 column of one relation over all result rows.
-func SumFloat(rs *RowSet, tbl *storage.Table, rel int, col string) (float64, error) {
-	c, err := tbl.Column(col)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, id := range rs.Col(rel) {
-		if id < 0 {
-			continue // null-extended outer-join row
-		}
-		sum += c.Floats[id]
-	}
-	return sum, nil
-}
-
-// SumRevenue computes the TPC-H revenue expression
-// Σ price·(1 − discount) over the result rows of one relation.
-func SumRevenue(rs *RowSet, tbl *storage.Table, rel int, priceCol, discCol string) (float64, error) {
-	p, err := tbl.Column(priceCol)
-	if err != nil {
-		return 0, err
-	}
-	d, err := tbl.Column(discCol)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, id := range rs.Col(rel) {
-		if id < 0 {
-			continue
-		}
-		sum += p.Floats[id] * (1 - d.Floats[id])
-	}
-	return sum, nil
-}
-
-// GroupCount counts result rows grouped by a string column of one relation
-// (e.g. rows per nation name).
-func GroupCount(rs *RowSet, tbl *storage.Table, rel int, col string) (map[string]int, error) {
-	c, err := tbl.Column(col)
-	if err != nil {
-		return nil, err
-	}
-	if c.Strings == nil {
-		return nil, fmt.Errorf("exec: GroupCount needs a string column, %s.%s is not", tbl.Name, col)
-	}
-	out := make(map[string]int)
-	for _, id := range rs.Col(rel) {
-		if id < 0 {
-			out["<null>"]++
-			continue
-		}
-		out[c.Strings[id]]++
-	}
-	return out, nil
-}
-
-// ---------------------------------------------------------------------------
-// Streaming aggregation: the pipelined counterpart of the helpers above.
-// When Options.Aggregates is set, the root pipeline's result sink is an
-// aggregation operator — each worker folds its batches into private
-// partials which are merged once at the end, so the final join output is
-// never materialized.
+// The group hot loops run on flat hashtab.AggTables keyed by interned
+// group codes; Go maps survive only in setup (the interning dictionary)
+// and in result materialization (AggValue's public map fields, O(groups)
+// once per query).
 
 // AggKind selects the aggregate computed by one AggSpec.
 type AggKind int
@@ -188,8 +123,8 @@ func groupDictFromStorage(tbl *storage.Table, col string) *groupDict {
 	remap := make([]int32, len(sd.Values))
 	for i, v := range sd.Values {
 		if v == nullGroupName {
-			// A literal "<null>" value must share the null-extended rows'
-			// code, exactly as the map kernels merge both under one key.
+			// A literal "<null>" value shares the null-extended rows' code:
+			// both report under the one "<null>" group.
 			remap[i] = int32(nullGroupCode)
 			continue
 		}
@@ -236,8 +171,7 @@ type aggCols struct {
 	spec        AggSpec
 	vals        []float64 // AggSum value column
 	price, disc []float64
-	keys        []string
-	dict        *groupDict // interned group key column (flat kernels)
+	dict        *groupDict // interned group key column
 }
 
 func (ex *executor) resolveAgg(spec AggSpec) (aggCols, error) {
@@ -277,98 +211,17 @@ func (ex *executor) resolveAgg(spec AggSpec) (aggCols, error) {
 			return a, fmt.Errorf("exec: aggregate group key must be a string column, %s.%s is not",
 				ex.tables[spec.KeyRel].Name, spec.KeyCol)
 		}
-		a.keys = c.Strings
-		if !ex.mapKernels {
-			a.dict = ex.groupDictFor(spec.KeyRel, spec.KeyCol, c.Strings)
-		}
+		a.dict = ex.groupDictFor(spec.KeyRel, spec.KeyCol, c.Strings)
 	}
 	return a, nil
 }
 
 // aggPartial is one worker's accumulator for one spec. Group aggregates
-// accumulate in a flat hashtab.AggTable keyed by interned group codes;
-// the map fields are the Options.MapKernels ablation baseline.
+// accumulate in a flat hashtab.AggTable keyed by interned group codes.
 type aggPartial struct {
-	count     int64
-	sum       float64
-	tab       *hashtab.AggTable
-	groups    map[string]int
-	groupSums map[string]float64
-}
-
-// fold accumulates one batch into the partial, row at a time — the
-// Options.ScalarProbe ablation baseline, the MapKernels fallback, and the
-// legacy aggregateRowSet path. The group paths with flat kernels cost one
-// code load, one hash mix and one integer directory probe per row.
-func (a *aggCols) fold(p *aggPartial, b *RowSet) {
-	switch a.spec.Kind {
-	case AggCountStar:
-		p.count += int64(b.Len())
-	case AggSum:
-		for _, id := range b.Col(a.spec.Rel) {
-			if id < 0 {
-				continue
-			}
-			p.sum += a.vals[id]
-		}
-	case AggRevenue:
-		for _, id := range b.Col(a.spec.Rel) {
-			if id < 0 {
-				continue
-			}
-			p.sum += a.price[id] * (1 - a.disc[id])
-		}
-	case AggGroupCount:
-		if a.dict != nil {
-			if p.tab == nil {
-				p.tab = hashtab.NewAgg(len(a.dict.names) + 1)
-			}
-			codes := a.dict.codes
-			for _, id := range b.Col(a.spec.KeyRel) {
-				code := nullGroupCode
-				if id >= 0 {
-					code = int64(codes[id])
-				}
-				p.tab.Add(code, 1, 0)
-			}
-			return
-		}
-		if p.groups == nil {
-			p.groups = make(map[string]int)
-		}
-		for _, id := range b.Col(a.spec.KeyRel) {
-			if id < 0 {
-				p.groups[nullGroupName]++
-				continue
-			}
-			p.groups[a.keys[id]]++
-		}
-	case AggGroupRevenue:
-		keys := b.Col(a.spec.KeyRel)
-		vals := b.Col(a.spec.Rel)
-		if a.dict != nil {
-			if p.tab == nil {
-				p.tab = hashtab.NewAgg(len(a.dict.names) + 1)
-			}
-			codes := a.dict.codes
-			for i := range keys {
-				if keys[i] < 0 || vals[i] < 0 {
-					continue
-				}
-				p.tab.Add(int64(codes[keys[i]]), 0, a.price[vals[i]]*(1-a.disc[vals[i]]))
-			}
-			return
-		}
-		if p.groupSums == nil {
-			p.groupSums = make(map[string]float64)
-		}
-		for i := range keys {
-			if keys[i] < 0 || vals[i] < 0 {
-				continue
-			}
-			p.groupSums[a.keys[keys[i]]] += a.price[vals[i]] * (1 - a.disc[vals[i]])
-		}
-	}
+	count int64
+	sum   float64
+	tab   *hashtab.AggTable
 }
 
 // aggScratch is one worker's reusable fold scratch: the per-batch group
@@ -392,17 +245,26 @@ func (scr *aggScratch) ensure(n int) {
 // measure vectors once per batch — straight off the batch's dictCodes
 // side channel when it covers the key column, else through the interned
 // dictionary — hash the whole code vector once via HashVec, and fold
-// through AggTable.AddHash in a tight loop. Gather order is the scalar
-// fold's row order, so float addition order and the directory layout
-// (which depends only on the distinct keys) are bit-identical to fold's.
-// Non-group kinds are already single-pass column loops and delegate.
+// through AggTable.AddHash in a tight loop, in batch row order. Non-group
+// kinds are single-pass column loops (null-extended rows skipped).
 // Returns the number of rows whose group code rode the batch channel.
 func (a *aggCols) foldBatch(p *aggPartial, b *Batch, scr *aggScratch) int64 {
 	switch a.spec.Kind {
-	case AggGroupCount:
-		if a.dict == nil {
-			break
+	case AggCountStar:
+		p.count += int64(b.Len())
+	case AggSum:
+		for _, id := range b.rows.Col(a.spec.Rel) {
+			if id >= 0 {
+				p.sum += a.vals[id]
+			}
 		}
+	case AggRevenue:
+		for _, id := range b.rows.Col(a.spec.Rel) {
+			if id >= 0 {
+				p.sum += a.price[id] * (1 - a.disc[id])
+			}
+		}
+	case AggGroupCount:
 		if p.tab == nil {
 			p.tab = hashtab.NewAgg(len(a.dict.names) + 1)
 		}
@@ -431,9 +293,6 @@ func (a *aggCols) foldBatch(p *aggPartial, b *Batch, scr *aggScratch) int64 {
 		}
 		return reused
 	case AggGroupRevenue:
-		if a.dict == nil {
-			break
-		}
 		if p.tab == nil {
 			p.tab = hashtab.NewAgg(len(a.dict.names) + 1)
 		}
@@ -468,13 +327,12 @@ func (a *aggCols) foldBatch(p *aggPartial, b *Batch, scr *aggScratch) int64 {
 		}
 		return reused
 	}
-	a.fold(p, b.rows)
 	return 0
 }
 
 // aggSink is the streaming-aggregation result sink: partials per (worker,
 // spec), merged in finish. The group-aggregate merge is shared-nothing:
-// per-worker maps are sharded by group hash and the shards merge in
+// per-worker tables are sharded by group hash and the shards merge in
 // parallel, so high-cardinality GROUP BYs finish across DOP workers like
 // the other breakers.
 type aggSink struct {
@@ -482,11 +340,9 @@ type aggSink struct {
 	cols     []aggCols
 	partials [][]aggPartial // [worker][spec]
 	rowsSeen []int64        // per worker
-	// scalar selects the row-at-a-time fold (Options.ScalarProbe); scrs is
-	// the per-worker vectorized-fold scratch, foldNanos / codeReused the
+	// scrs is the per-worker fold scratch, foldNanos / codeReused the
 	// per-worker fold wall time and dictCode-channel hit counts, summed
 	// into Phases.Fold and PipelineStat.FoldCodeReused at finish.
-	scalar     bool
 	scrs       []aggScratch
 	foldNanos  []int64
 	codeReused []int64
@@ -496,8 +352,9 @@ type aggSink struct {
 }
 
 const (
-	// aggGroupBytes approximates one group entry's footprint in a partial
-	// map: string header, hash bucket share, and the accumulator.
+	// aggGroupBytes approximates one group entry's footprint before the
+	// partial tables exist, and in the merged result maps: string header,
+	// hash bucket share, and the accumulator.
 	aggGroupBytes = 64
 	// defaultAggEstGroups sizes the up-front reservation when a spec
 	// carries no group-count estimate.
@@ -509,7 +366,6 @@ func (ex *executor) newAggSink(rels query.RelSet, workers int) (sink, error) {
 		ex:         ex,
 		partials:   make([][]aggPartial, workers),
 		rowsSeen:   make([]int64, workers),
-		scalar:     ex.scalarProbe,
 		scrs:       make([]aggScratch, workers),
 		foldNanos:  make([]int64, workers),
 		codeReused: make([]int64, workers),
@@ -524,7 +380,7 @@ func (ex *executor) newAggSink(rels query.RelSet, workers int) (sink, error) {
 	for w := range s.partials {
 		s.partials[w] = make([]aggPartial, len(s.cols))
 	}
-	// Broker-account the per-worker partial maps: Force (not Grow) because
+	// Broker-account the per-worker partial tables: Force (not Grow) because
 	// the sink cannot spill yet, sized from the group-count estimate so
 	// Used/Peak reporting is truthful for GROUP BY state. finish tops the
 	// reservation up to the observed group count. This is the accounting
@@ -551,14 +407,8 @@ func (s *aggSink) phases() BreakerPhases { return s.ph }
 func (s *aggSink) consume(w int, b *Batch) {
 	start := time.Now()
 	s.rowsSeen[w] += int64(b.Len())
-	if s.scalar {
-		for i := range s.cols {
-			s.cols[i].fold(&s.partials[w][i], b.rows)
-		}
-	} else {
-		for i := range s.cols {
-			s.codeReused[w] += s.cols[i].foldBatch(&s.partials[w][i], b, &s.scrs[w])
-		}
+	for i := range s.cols {
+		s.codeReused[w] += s.cols[i].foldBatch(&s.partials[w][i], b, &s.scrs[w])
 	}
 	s.foldNanos[w] += int64(time.Since(start))
 }
@@ -574,37 +424,22 @@ func (s *aggSink) finish() error {
 			v.Count += p.count
 			v.Sum += p.sum
 		}
+		dict := s.cols[i].dict
 		switch s.cols[i].spec.Kind {
 		case AggGroupCount:
-			if dict := s.cols[i].dict; dict != nil {
-				if merged := s.mergeFlat(i, dop); merged != nil {
-					v.Groups = make(map[string]int, merged.Len())
-					merged.Each(func(k, c int64, _ float64) {
-						v.Groups[dict.name(k)] = int(c)
-					})
-				}
-				break
+			if merged := s.mergeFlat(i, dop); merged != nil {
+				v.Groups = make(map[string]int, merged.Len())
+				merged.Each(func(k, c int64, _ float64) {
+					v.Groups[dict.name(k)] = int(c)
+				})
 			}
-			parts := make([]map[string]int, len(s.partials))
-			for w := range s.partials {
-				parts[w] = s.partials[w][i].groups
-			}
-			v.Groups = mergeGroupsPar(parts, dop)
 		case AggGroupRevenue:
-			if dict := s.cols[i].dict; dict != nil {
-				if merged := s.mergeFlat(i, dop); merged != nil {
-					v.GroupSums = make(map[string]float64, merged.Len())
-					merged.Each(func(k, _ int64, sum float64) {
-						v.GroupSums[dict.name(k)] = sum
-					})
-				}
-				break
+			if merged := s.mergeFlat(i, dop); merged != nil {
+				v.GroupSums = make(map[string]float64, merged.Len())
+				merged.Each(func(k, _ int64, sum float64) {
+					v.GroupSums[dict.name(k)] = sum
+				})
 			}
-			parts := make([]map[string]float64, len(s.partials))
-			for w := range s.partials {
-				parts[w] = s.partials[w][i].groupSums
-			}
-			v.GroupSums = mergeGroupsPar(parts, dop)
 		}
 	}
 	s.ph.Merge = time.Since(start)
@@ -612,16 +447,13 @@ func (s *aggSink) finish() error {
 		s.ph.Fold += time.Duration(ns)
 	}
 	// Top the reservation up to the observed state — exact directory
-	// footprints for the flat partial tables, the aggGroupBytes
-	// approximation for the map baseline and the merged result maps — so
-	// budget reports stay truthful when the estimate ran low on a
-	// high-cardinality GROUP BY.
+	// footprints for the partial tables, the aggGroupBytes approximation
+	// for the merged result maps — so budget reports stay truthful when the
+	// estimate ran low on a high-cardinality GROUP BY.
 	var actual int64
 	for w := range s.partials {
 		for i := range s.partials[w] {
-			p := &s.partials[w][i]
-			actual += p.tab.Bytes()
-			actual += int64(len(p.groups)+len(p.groupSums)) * aggGroupBytes
+			actual += s.partials[w][i].tab.Bytes()
 		}
 	}
 	for i := range out {
@@ -654,7 +486,10 @@ func (s *aggSink) mergeFlat(i, dop int) *hashtab.AggTable {
 // flat directory is a contiguous array walk, so the redundant scans are
 // cheaper than a shuffle. Per key, the addition order is ascending
 // worker in both paths — exactly the serial order — so float results are
-// bit-identical to the serial merge (and to the map baseline's).
+// bit-identical to the serial merge of the same partials. The partials
+// themselves are not reproducible at DOP > 1: which worker claims which
+// morsel varies run to run, and float sums round differently with it, so
+// group sums repeat bit for bit across runs only at DOP 1.
 func mergeAggTables(parts []*hashtab.AggTable, dop int) *hashtab.AggTable {
 	total := 0
 	for _, t := range parts {
@@ -663,7 +498,7 @@ func mergeAggTables(parts []*hashtab.AggTable, dop int) *hashtab.AggTable {
 	if total == 0 {
 		return nil
 	}
-	// Weight 8: one directory probe per group entry, like the map merge.
+	// Weight 8: one directory probe per group entry.
 	if !parallelFinishThreshold(total, 8, dop) {
 		out := hashtab.NewAgg(total)
 		for _, t := range parts {
@@ -698,145 +533,4 @@ func mergeAggTables(parts []*hashtab.AggTable, dop int) *hashtab.AggTable {
 		t.Each(out.Add)
 	}
 	return out
-}
-
-// hashShard assigns a group key to one of n merge shards, through the
-// shared hashtab mixer family (the engine keeps exactly one hash family
-// across its hot paths; this was the last ad-hoc string mixer).
-func hashShard(s string, n int) int {
-	return int(hashtab.HashString(s) % uint64(n))
-}
-
-// mergeGroupsPar merges per-worker group maps. Small merges stay serial;
-// above the breaker fan-out threshold the merge is shared-nothing: each
-// worker's map is sharded by group hash (parallel over workers), each
-// shard merges across workers in ascending worker order (parallel over
-// shards), and the disjoint shards assemble into the result. Per key, the
-// addition order is ascending worker — exactly the serial order — so
-// float results are bit-identical to the serial merge.
-func mergeGroupsPar[T int | float64](parts []map[string]T, dop int) map[string]T {
-	total := 0
-	for _, m := range parts {
-		total += len(m)
-	}
-	if total == 0 {
-		return nil
-	}
-	// Weight 8: hashing plus a map insert per group entry.
-	if !parallelFinishThreshold(total, 8, dop) {
-		out := make(map[string]T, total)
-		for _, m := range parts {
-			for k, v := range m {
-				out[k] += v
-			}
-		}
-		return out
-	}
-	nsh := dop
-	sub := make([][]map[string]T, len(parts)) // [worker][shard]
-	var wg sync.WaitGroup
-	var trap panicTrap
-	for w, m := range parts {
-		sub[w] = make([]map[string]T, nsh)
-		if len(m) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(sh []map[string]T, m map[string]T) {
-			defer wg.Done()
-			defer trap.catch()
-			for k, v := range m {
-				i := hashShard(k, nsh)
-				if sh[i] == nil {
-					sh[i] = make(map[string]T)
-				}
-				sh[i][k] = v // keys are unique within one worker's map
-			}
-		}(sub[w], m)
-	}
-	wg.Wait()
-	trap.rethrow()
-	shards := make([]map[string]T, nsh)
-	for i := 0; i < nsh; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer trap.catch()
-			out := make(map[string]T)
-			for w := range sub {
-				for k, v := range sub[w][i] {
-					out[k] += v
-				}
-			}
-			shards[i] = out
-		}(i)
-	}
-	wg.Wait()
-	trap.rethrow()
-	out := make(map[string]T, total)
-	for _, m := range shards {
-		for k, v := range m {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// aggregateRowSet computes the same aggregates post-hoc from a
-// materialized result — the legacy executor's path, kept so A/B tests can
-// diff it against the streaming sink.
-func (ex *executor) aggregateRowSet(rs *RowSet, specs []AggSpec) ([]AggValue, error) {
-	out := make([]AggValue, len(specs))
-	for i, spec := range specs {
-		a, err := ex.resolveAgg(spec)
-		if err != nil {
-			return nil, err
-		}
-		var p aggPartial
-		a.fold(&p, rs)
-		v := AggValue{Count: p.count, Sum: p.sum, Groups: p.groups, GroupSums: p.groupSums}
-		if p.tab.Len() > 0 {
-			switch spec.Kind {
-			case AggGroupCount:
-				v.Groups = make(map[string]int, p.tab.Len())
-				p.tab.Each(func(k, c int64, _ float64) { v.Groups[a.dict.name(k)] = int(c) })
-			case AggGroupRevenue:
-				v.GroupSums = make(map[string]float64, p.tab.Len())
-				p.tab.Each(func(k, _ int64, sum float64) { v.GroupSums[a.dict.name(k)] = sum })
-			}
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// GroupRevenue computes Σ price·(1 − discount) per group key, the shape of
-// Q5's and Q7's reported answers (revenue by nation / by nation pair).
-func GroupRevenue(rs *RowSet, keyTbl *storage.Table, keyRel int, keyCol string,
-	valTbl *storage.Table, valRel int, priceCol, discCol string) (map[string]float64, error) {
-	k, err := keyTbl.Column(keyCol)
-	if err != nil {
-		return nil, err
-	}
-	if k.Strings == nil {
-		return nil, fmt.Errorf("exec: GroupRevenue needs a string key column")
-	}
-	p, err := valTbl.Column(priceCol)
-	if err != nil {
-		return nil, err
-	}
-	d, err := valTbl.Column(discCol)
-	if err != nil {
-		return nil, err
-	}
-	keys := rs.Col(keyRel)
-	vals := rs.Col(valRel)
-	out := make(map[string]float64)
-	for i := range keys {
-		if keys[i] < 0 || vals[i] < 0 {
-			continue
-		}
-		out[k.Strings[keys[i]]] += p.Floats[vals[i]] * (1 - d.Floats[vals[i]])
-	}
-	return out, nil
 }

@@ -247,24 +247,19 @@ func TestDAGSurfacesFirstErrorDeterministically(t *testing.T) {
 }
 
 // Sanity: the merge-join fixture executes correctly through the DAG
-// scheduler at several DOPs, agreeing with the legacy interpreter — this
-// pins the parallel sort sink (per-worker runs + multiway merge) and the
-// concurrent scheduling of its two sort pipelines.
-func TestDAGMergeJoinMatchesLegacy(t *testing.T) {
+// scheduler at several DOPs, agreeing with the oracle — this pins the
+// parallel sort sink (per-worker runs + multiway merge) and the concurrent
+// scheduling of its two sort pipelines.
+func TestDAGMergeJoinMatchesOracle(t *testing.T) {
 	db, b, p := mergeJoinFixture(t)
-	legacy, err := Run(db, b, p, Options{DOP: 1, Legacy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	oc := newOracleCase(t, db, b)
 	for _, dop := range []int{1, 2, 4, 8} {
 		for _, morsel := range []int{1, 37, 4096} {
 			r, err := Run(db, b, p, Options{DOP: dop, MorselSize: morsel})
 			if err != nil {
 				t.Fatalf("dop %d morsel %d: %v", dop, morsel, err)
 			}
-			if r.Rows != legacy.Rows {
-				t.Fatalf("dop %d morsel %d: rows = %d, want %d", dop, morsel, r.Rows, legacy.Rows)
-			}
+			oc.check(t, fmt.Sprintf("dop %d morsel %d", dop, morsel), p, r)
 		}
 	}
 }

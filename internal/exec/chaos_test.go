@@ -163,7 +163,7 @@ func (o *rowsetPanicOp) NextBatch() (*Batch, error) {
 	return o.child.NextBatch()
 }
 
-// TestRowsetPanicBecomesTypedError: the legacy rowset panics surface as
+// TestRowsetPanicBecomesTypedError: rowset wiring panics surface as
 // per-query *PanicError wrapping ErrInternal with the panic text and
 // plan context preserved — and, the value being a plain string, the
 // failure is NOT transient: the retry classifier must refuse it.

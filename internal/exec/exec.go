@@ -50,13 +50,13 @@ type Result struct {
 	// BloomStats describes every Bloom filter that ran.
 	BloomStats []BloomRuntime
 	// OpStats reports per-operator runtime counters in pipeline execution
-	// order (empty for legacy runs).
+	// order.
 	OpStats []OpStat
 	// Scans reports per-scan vectorized-execution counters — morsels
 	// claimed, zone-map skips, per-predicate selectivity — ordered by
-	// relation index (empty for legacy runs).
+	// relation index.
 	Scans []ScanRuntime
-	// Pipelines reports each executed pipeline (empty for legacy runs).
+	// Pipelines reports each executed pipeline.
 	Pipelines []PipelineStat
 	// Aggregates holds one value per Options.Aggregates spec.
 	Aggregates []AggValue
@@ -66,8 +66,7 @@ type Result struct {
 	Sched sched.Stat
 }
 
-// StatFor returns the runtime counters recorded for a plan node, or nil
-// (legacy runs record no operator stats).
+// StatFor returns the runtime counters recorded for a plan node, or nil.
 func (r *Result) StatFor(n plan.Node) *OpStat {
 	for i := range r.OpStats {
 		if r.OpStats[i].Node == n {
@@ -78,7 +77,7 @@ func (r *Result) StatFor(n plan.Node) *OpStat {
 }
 
 // TotalSpill sums the spill activity across the run's pipelines (zero for
-// unlimited-budget and legacy runs).
+// unlimited-budget runs).
 func (r *Result) TotalSpill() SpillStat {
 	var s SpillStat
 	for _, p := range r.Pipelines {
@@ -105,11 +104,10 @@ type PredRuntime struct {
 	In, Out int64
 }
 
-// ScanRuntime reports one scan source's vectorized-execution counters.
+// ScanRuntime reports one scan source's execution counters.
 type ScanRuntime struct {
-	Rel        int
-	Alias      string
-	Vectorized bool
+	Rel   int
+	Alias string
 	// Morsels is the number of morsels claimed (including skipped ones);
 	// ZoneSkipped / ZoneSkippedRows count morsels (and their rows)
 	// eliminated by zone-map bounds before any row was touched.
@@ -121,29 +119,23 @@ type ScanRuntime struct {
 }
 
 // bloomHandle abstracts single, merged and partitioned filters for
-// probing. MayContainHash is the batch path: the caller mixes the key
-// once (bloom.KeyHash, the hash shared with the join tables) and both
-// filter probe positions derive from that one value. FilterSelHashes is
-// the vectorized form: it compacts a selection vector by a batch of
+// probing. The caller mixes each key once (bloom.KeyHash, the hash shared
+// with the join tables) and both filter probe positions derive from that
+// one value. FilterSelHashes compacts a selection vector by a batch of
 // precomputed hashes; FilterSelHashesCarry additionally compacts a
 // second vector in lockstep (the scan's batch hash side channel —
 // calling with carry == hashes is safe).
 type bloomHandle interface {
-	MayContain(key int64) bool
-	MayContainHash(h uint64) bool
 	FilterSelHashes(hashes []uint64, sel []int32) []int32
 	FilterSelHashesCarry(hashes []uint64, sel []int32, carry []uint64) ([]int32, []uint64)
 }
 
 type executor struct {
-	db          *storage.Database
-	block       *query.Block
-	dop         int
-	satLimit    float64
-	morsel      int
-	mapKernels  bool
-	scalarScan  bool
-	scalarProbe bool
+	db       *storage.Database
+	block    *query.Block
+	dop      int
+	satLimit float64
+	morsel   int
 
 	tables  []*storage.Table // by relation index
 	filters map[int]bloomHandle
@@ -248,25 +240,19 @@ type Options struct {
 	// nothing while still costing a test per row. Skipped filters are
 	// reported with Strategy "skipped".
 	SaturationLimit float64
-	// Legacy selects the original operator-at-a-time interpreter that
-	// fully materializes every intermediate row set. The default is the
-	// morsel-driven pipelined executor; the legacy path exists so A/B
-	// correctness tests can diff the two on identical plans.
-	Legacy bool
 	// MorselSize overrides the rows-per-morsel granularity of the
 	// pipelined executor; 0 means DefaultMorselSize.
 	MorselSize int
 	// Aggregates, when non-empty, replaces final-result materialization
 	// with streaming aggregation: Result.Out stays nil and
-	// Result.Aggregates holds one value per spec. The legacy executor
-	// computes the same values post-hoc from its materialized output.
+	// Result.Aggregates holds one value per spec.
 	Aggregates []AggSpec
-	// MemBudget bounds the bytes of operator state the pipelined executor
+	// MemBudget bounds the bytes of operator state the executor
 	// materializes in RAM (0 = unlimited). When a breaker's grant is
 	// denied, it spills: hash joins run as grace hash joins over partition
 	// files, sorts as external merge sorts over sorted runs. The final
 	// result (and other mandatory allocations) are accounted but never
-	// denied. The legacy interpreter ignores the budget.
+	// denied.
 	MemBudget int64
 	// SpillDir is the parent directory for the run's spill files
 	// ("" = os.TempDir()). Each run creates — and always removes — its own
@@ -285,18 +271,6 @@ type Options struct {
 	// Priority routes the query through the scheduler's priority lane
 	// (admission and slot arbitration).
 	Priority bool
-	// MapKernels selects the Go-map-based join and aggregation kernels
-	// the flat hashtab tables replaced — the baseline side of the
-	// map-vs-flat ablation (cmd/bench -experiment hashtable). Results
-	// are bit-identical across kernels; only the data layout differs.
-	MapKernels bool
-	// ScalarScan selects the row-at-a-time scan baseline the vectorized
-	// kernel chains replaced — the baseline side of the scan ablation
-	// (cmd/bench -experiment scan). Columns are still bound once at Open,
-	// but predicates evaluate row by row with an interface call each, no
-	// zone-map morsel skipping, and Bloom filters probe per key rather
-	// than per hashed batch. Results are bit-identical across modes.
-	ScalarScan bool
 	// Metrics, when non-nil, receives the run's folded totals — latency,
 	// scheduler stats, scan/probe/fold counters, spill bytes — in one cold
 	// pass when the run ends. Nothing on the per-row or per-batch hot path
@@ -317,13 +291,6 @@ type Options struct {
 	// (plan.Fingerprint), shown by the inspector and stamped on the
 	// workers' pprof labels.
 	Fingerprint uint64
-	// ScalarProbe selects the row-at-a-time join-probe and aggregation-fold
-	// baseline the vectorized batch kernels replaced — the baseline side of
-	// the join/agg ablation (cmd/bench -experiment joinagg). Probes hash,
-	// look up, verify and emit per row, folds intern and accumulate per
-	// row, and batches carry no hash/dictCode side channels. Results are
-	// bit-identical across modes, including the grace spill-reload path.
-	ScalarProbe bool
 
 	// injectOp, when set (tests only), wraps each worker's operator chain
 	// of every pipeline — the failure-injection hook for cancellation and
@@ -376,16 +343,14 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	// Decomposition happens before admission on purpose: it is cheap, needs
 	// no execution resources, and its summary (spillable breakers) sizes
 	// the minimum memory grant the admission gate checks.
-	desc := sched.QueryDesc{Label: block.Name, Priority: opts.Priority}
-	var pipes []*plan.Pipeline
-	if !opts.Legacy {
-		if pipes, err = plan.Decompose(p); err != nil {
-			return nil, err
-		}
-		dag := plan.SummarizeDAG(pipes)
-		desc.Pipelines, desc.Edges = dag.Pipelines, dag.Edges
-		desc.MinMemory = sched.MinMemoryFor(broker, dag.SpillableSinks, minSpillableGrant)
+	pipes, err := plan.Decompose(p)
+	if err != nil {
+		return nil, err
 	}
+	dag := plan.SummarizeDAG(pipes)
+	desc := sched.QueryDesc{Label: block.Name, Priority: opts.Priority,
+		Pipelines: dag.Pipelines, Edges: dag.Edges,
+		MinMemory: sched.MinMemoryFor(broker, dag.SpillableSinks, minSpillableGrant)}
 	admitStart := time.Now()
 	ticket, err := scheduler.Admit(ctx, desc)
 	if err != nil {
@@ -434,9 +399,6 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	ex := &executor{
 		db: db, block: block, dop: dop, satLimit: opts.SaturationLimit,
 		morsel:      morsel,
-		mapKernels:  opts.MapKernels,
-		scalarScan:  opts.ScalarScan,
-		scalarProbe: opts.ScalarProbe,
 		filters:     make(map[int]bloomHandle),
 		fstats:      make(map[int]*BloomRuntime),
 		specs:       make(map[int]plan.BloomSpec),
@@ -460,12 +422,12 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 		ex.fpHex = plan.FingerprintHex(opts.Fingerprint)
 	}
 	// Top-level panic containment: anything that panics on this goroutine
-	// — the legacy interpreter, rowset wiring guards, fork-join helpers
-	// rethrowing a trapped worker panic — becomes this query's typed
-	// *PanicError instead of a process abort. Registered before the
-	// resource defers below, so in unwind order the spill dir, memory
-	// account, and ticket are all released first, then the panic converts,
-	// then the metrics defer observes the error like any other failure.
+	// — rowset wiring guards, fork-join helpers rethrowing a trapped
+	// worker panic — becomes this query's typed *PanicError instead of a
+	// process abort. Registered before the resource defers below, so in
+	// unwind order the spill dir, memory account, and ticket are all
+	// released first, then the panic converts, then the metrics defer
+	// observes the error like any other failure.
 	defer func() {
 		if v := recover(); v != nil {
 			err = ex.panicErr(v, "query execution")
@@ -508,7 +470,7 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	// planner-estimated for merge sources — snapshot fractions cap below
 	// 1 until the sink finishes, so estimates cannot make progress
 	// retreat. Deregistration is deferred, covering every exit path.
-	if opts.Inspector != nil && !opts.Legacy {
+	if opts.Inspector != nil {
 		lq := obs.NewLiveQuery(ticket.ID(), block.Name, ex.fpHex, p.Mode)
 		for _, pl := range pipes {
 			var planned, srcRows int64
@@ -531,35 +493,7 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 		opts.Inspector.Register(lq)
 		defer opts.Inspector.Deregister(lq.ID)
 	}
-	if opts.Legacy {
-		// The legacy interpreter leases one worker slot for its whole run:
-		// it reports SlotBusy/SlotWait through the same sched.Stat as the
-		// pipelined path (so EXPLAIN ANALYZE's scheduler line appears
-		// uniformly) and counts against the shared pool under concurrency.
-		// No deadlock risk — the pool is work-conserving and a legacy run
-		// never blocks on other workers while holding its slot.
-		if !ex.acquireSlot() {
-			if ferr := ex.runErr(); ferr != nil {
-				return nil, ferr
-			}
-			return nil, ctx.Err()
-		}
-		out, nerr := func() (*RowSet, error) {
-			defer ex.yieldSlot()
-			return ex.node(p.Root)
-		}()
-		if nerr != nil {
-			return nil, nerr
-		}
-		ex.out, ex.rows = out, out.Len()
-		if len(opts.Aggregates) > 0 {
-			aggs, err := ex.aggregateRowSet(out, opts.Aggregates)
-			if err != nil {
-				return nil, err
-			}
-			ex.aggs = aggs
-		}
-	} else if err := ex.runPipelined(pipes); err != nil {
+	if err := ex.runPipelined(pipes); err != nil {
 		return nil, err
 	}
 	// Scan pipelines finish in DAG order, not relation order; sort the
@@ -588,173 +522,6 @@ func (ex *executor) record(n plan.Node, rows int) {
 	ex.mu.Unlock()
 }
 
-func (ex *executor) node(n plan.Node) (*RowSet, error) {
-	// Legacy-path cancellation is node-granular: context expiry between
-	// operator evaluations surfaces here (the pipelined executor cancels
-	// at morsel granularity instead).
-	if ex.stop.Load() {
-		if err := ex.runErr(); err != nil {
-			return nil, err
-		}
-	}
-	switch t := n.(type) {
-	case *plan.Scan:
-		rs, err := ex.scan(t)
-		if err != nil {
-			return nil, err
-		}
-		ex.record(n, rs.Len())
-		return rs, nil
-	case *plan.Join:
-		rs, err := ex.join(t)
-		if err != nil {
-			return nil, err
-		}
-		ex.record(n, rs.Len())
-		return rs, nil
-	default:
-		return nil, fmt.Errorf("exec: unknown plan node %T", n)
-	}
-}
-
-// scan reads a base table in dop parallel chunks, applying the local
-// predicate and any Bloom filters. Per §3.9 the scan "waits" for its
-// filters; in this in-process engine the inner (build) side of the
-// resolving join has always completed first, so a missing filter is a plan
-// bug, not a race.
-func (ex *executor) scan(s *plan.Scan) (*RowSet, error) {
-	tbl := ex.tables[s.Rel]
-	n := tbl.NumRows()
-	// Compile binds every predicate column once here instead of a map
-	// lookup per Eval; the kernels are immutable and shared by the chunk
-	// goroutines, which evaluate row-at-a-time through EvalRow.
-	kernels, err := query.Compile(s.Pred, tbl)
-	if err != nil {
-		return nil, fmt.Errorf("exec: scan of %s: %w", s.Alias, err)
-	}
-
-	type bf struct {
-		h     bloomHandle
-		vals  []int64
-		vals2 []int64 // second column of a multi-column filter, or nil
-		st    *BloomRuntime
-	}
-	var bfs []bf
-	for _, id := range s.ApplyBlooms {
-		h, st, ok := ex.filter(id)
-		if !ok {
-			return nil, fmt.Errorf("exec: scan of %s requires Bloom filter %d which was never built (plan bug)", s.Alias, id)
-		}
-		spec := ex.specs[id]
-		col, err := tbl.Column(spec.ApplyCol)
-		if err != nil {
-			return nil, fmt.Errorf("exec: bloom %d: %w", id, err)
-		}
-		entry := bf{h: h, vals: col.Ints, st: st}
-		if spec.ApplyCol2 != "" {
-			col2, err := tbl.Column(spec.ApplyCol2)
-			if err != nil {
-				return nil, fmt.Errorf("exec: bloom %d: %w", id, err)
-			}
-			entry.vals2 = col2.Ints
-		}
-		bfs = append(bfs, entry)
-	}
-
-	chunks := ex.dop
-	if chunks > n {
-		chunks = 1
-	}
-	parts := make([]*RowSet, chunks)
-	tested := make([]int64, len(bfs))
-	passed := make([]int64, len(bfs))
-	var wg sync.WaitGroup
-	var tmu sync.Mutex
-	var trap panicTrap
-	for c := 0; c < chunks; c++ {
-		lo := c * n / chunks
-		hi := (c + 1) * n / chunks
-		part := NewRowSet(query.NewRelSet(s.Rel))
-		parts[c] = part
-		wg.Add(1)
-		go func(lo, hi int, part *RowSet) {
-			defer wg.Done()
-			defer trap.catch()
-			col := part.cols[0]
-			localTested := make([]int64, len(bfs))
-			localPassed := make([]int64, len(bfs))
-		rows:
-			for i := lo; i < hi; i++ {
-				for _, kn := range kernels {
-					if !kn.EvalRow(int32(i)) {
-						continue rows
-					}
-				}
-				for k := range bfs {
-					localTested[k]++
-					key := bfs[k].vals[i]
-					if bfs[k].vals2 != nil {
-						key = bloom.CombineKeys(key, bfs[k].vals2[i])
-					}
-					if !bfs[k].h.MayContainHash(bloom.KeyHash(key)) {
-						continue rows
-					}
-					localPassed[k]++
-				}
-				col = append(col, int32(i))
-			}
-			part.cols[0] = col
-			tmu.Lock()
-			for k := range bfs {
-				tested[k] += localTested[k]
-				passed[k] += localPassed[k]
-			}
-			tmu.Unlock()
-		}(lo, hi, part)
-	}
-	wg.Wait()
-	trap.rethrow()
-	for k := range bfs {
-		if bfs[k].st != nil {
-			bfs[k].st.Tested += tested[k]
-			bfs[k].st.Passed += passed[k]
-		}
-	}
-	return concat(query.NewRelSet(s.Rel), parts), nil
-}
-
-// join dispatches on the physical method. The inner (build) side executes
-// first, which is what guarantees Bloom filters are fully built before any
-// probe-side scan that waits on them.
-func (ex *executor) join(j *plan.Join) (*RowSet, error) {
-	inner, err := ex.node(j.Inner)
-	if err != nil {
-		return nil, err
-	}
-	if len(j.BuildBlooms) > 0 {
-		if j.Method != plan.HashJoin {
-			return nil, fmt.Errorf("exec: Bloom filters can only be built at hash joins, got %s", j.Method)
-		}
-		if err := ex.buildBlooms(j, inner); err != nil {
-			return nil, err
-		}
-	}
-	outer, err := ex.node(j.Outer)
-	if err != nil {
-		return nil, err
-	}
-	switch j.Method {
-	case plan.HashJoin:
-		return ex.hashJoin(j, outer, inner)
-	case plan.MergeJoin:
-		return ex.mergeJoin(j, outer, inner)
-	case plan.NestLoopJoin:
-		return ex.nestLoop(j, outer, inner)
-	default:
-		return nil, fmt.Errorf("exec: unknown join method %v", j.Method)
-	}
-}
-
 // buildBlooms populates this hash join's Bloom filters from its build-side
 // result, choosing the §3.9 strategy from the join's streaming annotation:
 //
@@ -763,16 +530,12 @@ func (ex *executor) join(j *plan.Join) (*RowSet, error) {
 //     lookup on the key (strategies 3/4)
 //   - single-threaded       -> one filter ("merged" degenerate case of
 //     strategy 2: the union of one partial filter per thread)
-func (ex *executor) buildBlooms(j *plan.Join, inner *RowSet) error {
-	return ex.buildBloomsShared(j, inner, nil)
-}
-
-// buildBloomsShared is buildBlooms with an optional already-built key
-// gather: when ht is non-nil and a filter's build column is the join's
-// hash-key column, the build side's precomputed hash vector feeds the
-// filter inserts directly — each build key was mixed once, for the Bloom
-// bits, the partition routing, and the join directory alike.
-func (ex *executor) buildBloomsShared(j *plan.Join, inner *RowSet, ht *hashTable) error {
+//
+// When ht is non-nil and a filter's build column is the join's hash-key
+// column, the build side's precomputed hash vector feeds the filter
+// inserts directly — each build key was mixed once, for the Bloom bits,
+// the partition routing, and the join directory alike.
+func (ex *executor) buildBlooms(j *plan.Join, inner *RowSet, ht *hashTable) error {
 	for _, id := range j.BuildBlooms {
 		spec, ok := ex.specs[id]
 		if !ok {
@@ -960,8 +723,6 @@ func bloomFromIDs(ids []int32, keyOf func(int32) int64, hashes []uint64, ndv uin
 // passAllFilter stands in for a skipped (over-saturated) Bloom filter.
 type passAllFilter struct{}
 
-func (passAllFilter) MayContain(int64) bool      { return true }
-func (passAllFilter) MayContainHash(uint64) bool { return true }
 func (passAllFilter) FilterSelHashes(_ []uint64, sel []int32) []int32 {
 	return sel
 }

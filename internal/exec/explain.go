@@ -12,9 +12,8 @@ import (
 
 // ExplainAnalyze renders the plan tree annotated with observed runtime —
 // actual rows next to the planner's estimates, plus batch counts and
-// in-operator wall time from the pipelined executor — followed by the
-// per-pipeline schedule and Bloom filter runtime. For legacy runs (no
-// operator stats) it falls back to est→actual rows only.
+// in-operator wall time — followed by the per-pipeline schedule and Bloom
+// filter runtime.
 func (r *Result) ExplainAnalyze(p *plan.Plan) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "executed (%s)  rows=%d  blooms=%d\n", p.Mode, r.Rows, len(p.Blooms))
@@ -27,12 +26,8 @@ func (r *Result) ExplainAnalyze(p *plan.Plan) string {
 		}
 	}
 	for _, sc := range r.Scans {
-		mode := "vectorized"
-		if !sc.Vectorized {
-			mode = "scalar"
-		}
-		fmt.Fprintf(&b, "  scan %s [%s] morsels=%d zone-skipped=%d (%d rows)\n",
-			sc.Alias, mode, sc.Morsels, sc.ZoneSkipped, sc.ZoneSkippedRows)
+		fmt.Fprintf(&b, "  scan %s morsels=%d zone-skipped=%d (%d rows)\n",
+			sc.Alias, sc.Morsels, sc.ZoneSkipped, sc.ZoneSkippedRows)
 		for _, pr := range sc.Preds {
 			pct := 100.0
 			if pr.In > 0 {
@@ -122,8 +117,8 @@ func (r *Result) explainNode(b *strings.Builder, n plan.Node, depth int) {
 	if st := r.StatFor(n); st != nil {
 		fmt.Fprintf(b, " actual=%d batches=%d wall=%s",
 			st.RowsOut, st.Batches, st.Wall.Round(time.Microsecond))
-		// Vectorized-probe sub-phases and the hash-carry counter; all zero
-		// for non-join operators and the ScalarProbe ablation.
+		// Probe sub-phases and the hash-carry counter; all zero for
+		// non-join operators.
 		if st.Gather > 0 || st.Probe > 0 || st.Emit > 0 {
 			fmt.Fprintf(b, " [gather=%s probe=%s emit=%s]",
 				st.Gather.Round(time.Microsecond),
@@ -133,8 +128,6 @@ func (r *Result) explainNode(b *strings.Builder, n plan.Node, depth int) {
 		if st.HashReusedKeys > 0 {
 			fmt.Fprintf(b, " hash-carried=%d", st.HashReusedKeys)
 		}
-	} else if a := r.ActualFor(n); a >= 0 {
-		fmt.Fprintf(b, " actual=%.0f", a)
 	}
 	b.WriteByte('\n')
 	if j, ok := n.(*plan.Join); ok {

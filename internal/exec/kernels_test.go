@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"bfcbo/internal/catalog"
@@ -11,109 +12,84 @@ import (
 	"bfcbo/internal/tpch"
 )
 
-// The kernel A/B suite: the flat hashtab join and aggregation kernels
-// (the default) must be bit-identical to the Go-map baseline they
-// replaced (Options.MapKernels), over the TPC-H plans, the streaming
-// aggregation sink, and the grace-join spill/reload path. Payload order
-// inside the flat tables is ascending build-row id per key — the map
-// kernels' insert order — so even row order and float addition order
-// agree; nothing here needs an epsilon.
+// The hash-kernel suite: the flat hashtab join and aggregation tables
+// against the Go-map joins and plain-loop aggregates of the oracle
+// (oracle_test.go) — over the TPC-H plans at DOPs that exercise
+// partitioned builds with odd partition counts, the streaming aggregation
+// sink, and the grace-join spill/reload path.
 
 func TestFlatVsMapKernelsTPCH(t *testing.T) {
 	ds := equivalenceDataset(t)
 	for _, q := range tpch.All() {
-		block := q.Build(ds.Schema)
-		opts := optimizer.DefaultOptions(0.01)
-		opts.Mode = optimizer.BFCBO
-		res, err := optimizer.Optimize(block, opts)
-		if err != nil {
-			t.Fatalf("Q%d: optimize: %v", q.Num, err)
-		}
-		skip := phantomRels(res.Plan)
-		for _, dop := range []int{1, 4} {
-			flat, err := Run(ds.DB, block, res.Plan, Options{DOP: dop})
+		block, p := optimizeTPCH(t, ds, q.Num, optimizer.BFCBO)
+		oc := newOracleCase(t, ds.DB, block)
+		for _, dop := range []int{2, 3} {
+			r, err := Run(ds.DB, block, p, Options{DOP: dop})
 			if err != nil {
-				t.Fatalf("Q%d dop %d: flat kernels: %v", q.Num, dop, err)
+				t.Fatalf("Q%d dop %d: %v", q.Num, dop, err)
 			}
-			mapped, err := Run(ds.DB, block, res.Plan, Options{DOP: dop, MapKernels: true})
-			if err != nil {
-				t.Fatalf("Q%d dop %d: map kernels: %v", q.Num, dop, err)
-			}
-			if flat.Rows != mapped.Rows {
-				t.Fatalf("Q%d dop %d: rows diverge: flat=%d map=%d",
-					q.Num, dop, flat.Rows, mapped.Rows)
-			}
-			for _, na := range mapped.Actuals {
-				if got := flat.ActualFor(na.Node); got != na.Actual {
-					t.Errorf("Q%d dop %d: node actual diverges: flat=%v map=%v",
-						q.Num, dop, got, na.Actual)
-				}
-			}
-			// The kernels share one probe order (ascending build-row id
-			// per key), so the materialized outputs must match row for
-			// row, not just as multisets — compare canonical forms to be
-			// robust to worker interleaving.
-			fr := canonicalRows(flat.Out, skip)
-			mr := canonicalRows(mapped.Out, skip)
-			for i := range mr {
-				if fr[i] != mr[i] {
-					t.Fatalf("Q%d dop %d: output row %d diverges: flat=%q map=%q",
-						q.Num, dop, i, fr[i], mr[i])
-				}
-			}
+			oc.check(t, label(q.Num, optimizer.BFCBO, dop), p, r)
 		}
 	}
 }
 
-// The streaming aggregation sink must produce bit-identical group counts
-// and float sums across kernels: the flat tables fold rows in the same
-// order as the maps did, and both merges add per key in ascending worker
-// order.
+// The streaming aggregation sink's flat group tables over a
+// high-cardinality key (5000 groups, every worker holding most of them),
+// which drives the sharded parallel merge: group counts match the oracle
+// exactly, float sums bit for bit at DOP 1, where one worker folds rows
+// in the oracle's order, and to within rounding at DOP 4, where the
+// per-worker partials depend on which worker claimed which morsel.
 func TestFlatVsMapKernelsAggregation(t *testing.T) {
-	db, b, p := aggBlockFixture(t)
+	const n, groups = 20_000, 5000
+	g := make([]string, n)
+	price := make([]float64, n)
+	disc := make([]float64, n)
+	for i := range g {
+		g[i] = fmt.Sprintf("k%d", (i*7919)%groups)
+		price[i] = float64(1+i%97) * 1.25
+		disc[i] = float64(i%10) / 100
+	}
+	tbl, err := storage.NewTable("hcard", []storage.Column{
+		{Name: "g", Kind: catalog.String, Strings: g},
+		{Name: "p", Kind: catalog.Float64, Floats: price},
+		{Name: "d", Kind: catalog.Float64, Floats: disc},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := storage.NewDatabase()
+	if err := db.AddTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	schema := catalog.NewSchema()
+	if err := schema.AddTable(storage.Analyze(tbl)); err != nil {
+		t.Fatal(err)
+	}
+	b := &query.Block{
+		Name:      "hcard",
+		Relations: []query.Relation{{Alias: "t", Table: schema.MustTable("hcard")}},
+	}
+	p := &plan.Plan{Root: &plan.Scan{Rel: 0, Alias: "t", Table: "hcard"}}
+	oc := newOracleCase(t, db, b)
 	specs := []AggSpec{
 		{Kind: AggCountStar},
-		{Kind: AggGroupCount, KeyRel: 1, KeyCol: "name", EstGroups: 8},
-		{Kind: AggGroupRevenue, KeyRel: 1, KeyCol: "name", Rel: 0, PriceCol: "price", DiscCol: "disc"},
+		{Kind: AggGroupCount, KeyRel: 0, KeyCol: "g", EstGroups: groups},
+		{Kind: AggGroupRevenue, KeyRel: 0, KeyCol: "g", Rel: 0, PriceCol: "p", DiscCol: "d"},
 	}
 	for _, dop := range []int{1, 4} {
 		for _, morsel := range []int{16, 0} {
-			flat, err := Run(db, b, p, Options{DOP: dop, MorselSize: morsel, Aggregates: specs})
+			r, err := Run(db, b, p, Options{DOP: dop, MorselSize: morsel, Aggregates: specs})
 			if err != nil {
 				t.Fatal(err)
 			}
-			mapped, err := Run(db, b, p, Options{DOP: dop, MorselSize: morsel, Aggregates: specs, MapKernels: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range specs {
-				f, m := flat.Aggregates[i], mapped.Aggregates[i]
-				if f.Count != m.Count {
-					t.Fatalf("dop %d spec %d: count %d vs %d", dop, i, f.Count, m.Count)
-				}
-				if len(f.Groups) != len(m.Groups) || len(f.GroupSums) != len(m.GroupSums) {
-					t.Fatalf("dop %d spec %d: group shapes diverge: %+v vs %+v", dop, i, f, m)
-				}
-				for k, v := range m.Groups {
-					if f.Groups[k] != v {
-						t.Fatalf("dop %d spec %d: group %q: %d vs %d", dop, i, k, f.Groups[k], v)
-					}
-				}
-				for k, v := range m.GroupSums {
-					if f.GroupSums[k] != v {
-						t.Fatalf("dop %d spec %d: group sum %q: %v vs %v (must be bit-identical)",
-							dop, i, k, f.GroupSums[k], v)
-					}
-				}
-			}
+			oc.checkAggs(t, fmt.Sprintf("dop %d morsel %d", dop, morsel), specs, r, dop == 1)
 		}
 	}
 }
 
 // A group column whose literal value is "<null>" must merge with the
-// null-extended rows' group under both kernels: the interning dictionary
-// maps the literal string to the null code, exactly as the map kernels
-// fold both under one "<null>" key.
+// null-extended rows' group: the interning dictionary maps the literal
+// string to the null code, so both report under the one "<null>" key.
 func TestFlatKernelsLiteralNullGroup(t *testing.T) {
 	db := storage.NewDatabase()
 	fact, err := storage.NewTable("nfact", []storage.Column{
@@ -146,7 +122,7 @@ func TestFlatKernelsLiteralNullGroup(t *testing.T) {
 		},
 		Clauses: []query.JoinClause{
 			// Left join: fk=2 has no dim match and null-extends.
-			{Type: query.Left, LeftRel: 0, LeftCol: "fk", RightRel: 1, RightCol: "pk"},
+			{Type: query.Left, LeftRel: 0, LeftCol: "fk", RightRel: 1, RightCol: "pk", SubRels: query.NewRelSet(1)},
 		},
 	}
 	p := &plan.Plan{Root: &plan.Join{
@@ -156,54 +132,39 @@ func TestFlatKernelsLiteralNullGroup(t *testing.T) {
 		Conds: []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}},
 	}}
 	specs := []AggSpec{{Kind: AggGroupCount, KeyRel: 1, KeyCol: "tag"}}
-	for _, mapKernels := range []bool{false, true} {
-		r, err := Run(db, b, p, Options{DOP: 2, Aggregates: specs, MapKernels: mapKernels})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := r.Aggregates[0].Groups
-		// Two rows hit tag "<null>", one hits "DE", one null-extends.
-		if got["<null>"] != 3 || got["DE"] != 1 || len(got) != 2 {
-			t.Fatalf("mapKernels=%v: groups = %v, want map[<null>:3 DE:1]", mapKernels, got)
-		}
+	r, err := Run(db, b, p, Options{DOP: 2, Aggregates: specs})
+	if err != nil {
+		t.Fatal(err)
 	}
+	got := r.Aggregates[0].Groups
+	// Two rows hit tag "<null>", one hits "DE", one null-extends.
+	if got["<null>"] != 3 || got["DE"] != 1 || len(got) != 2 {
+		t.Fatalf("groups = %v, want map[<null>:3 DE:1]", got)
+	}
+	newOracleCase(t, db, b).checkAggs(t, "literal null", specs, r, false)
 }
 
 // The grace hash join reloads spilled partitions through the same build
-// kernel as the in-memory path; a tiny budget forces every join through
-// spill/reload under both kernels, and the results must agree. CI runs
-// this under -race, covering concurrent routing, the writer barrier, and
-// the per-worker drains over the flat tables.
+// kernel as the in-memory path; a tiny budget forces every join of the
+// NoBF plans through spill/reload, and results must match the oracle. CI
+// runs this under -race, covering concurrent routing, the writer barrier,
+// and the per-worker drains over the flat tables.
 func TestFlatVsMapKernelsGrace(t *testing.T) {
 	ds := equivalenceDataset(t)
 	spillRoot := t.TempDir()
 	for _, num := range []int{5, 12, 21} {
-		q, _ := tpch.Get(num)
-		block := q.Build(ds.Schema)
-		opts := optimizer.DefaultOptions(0.01)
-		opts.Mode = optimizer.BFCBO
-		res, err := optimizer.Optimize(block, opts)
-		if err != nil {
-			t.Fatalf("Q%d: optimize: %v", num, err)
-		}
+		block, p := optimizeTPCH(t, ds, num, optimizer.NoBF)
+		oc := newOracleCase(t, ds.DB, block)
 		for _, dop := range []int{1, 4} {
-			flat, err := Run(ds.DB, block, res.Plan, Options{
+			r, err := Run(ds.DB, block, p, Options{
 				DOP: dop, MemBudget: tinyBudget, SpillDir: spillRoot})
 			if err != nil {
-				t.Fatalf("Q%d dop %d: flat grace: %v", num, dop, err)
+				t.Fatalf("Q%d dop %d: grace: %v", num, dop, err)
 			}
-			mapped, err := Run(ds.DB, block, res.Plan, Options{
-				DOP: dop, MemBudget: tinyBudget, SpillDir: spillRoot, MapKernels: true})
-			if err != nil {
-				t.Fatalf("Q%d dop %d: map grace: %v", num, dop, err)
-			}
-			if flat.TotalSpill().Bytes == 0 {
+			if r.TotalSpill().Bytes == 0 {
 				t.Fatalf("Q%d dop %d: tiny budget did not spill", num, dop)
 			}
-			if flat.Rows != mapped.Rows {
-				t.Errorf("Q%d dop %d: grace rows diverge: flat=%d map=%d",
-					num, dop, flat.Rows, mapped.Rows)
-			}
+			oc.check(t, label(num, optimizer.NoBF, dop)+" budgeted", p, r)
 		}
 	}
 	assertNoSpillFiles(t, spillRoot)

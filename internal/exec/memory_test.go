@@ -20,11 +20,11 @@ import (
 )
 
 // The memory-budget equivalence suite: with MemBudget set below the
-// smallest join build side, every breaker spills, and the results must be
-// identical — row for row — to the unlimited-budget run, with no temp
-// files left behind. The quick default covers a representative query mix;
-// -mem-budget-test (CI's constrained-memory step) runs the full TPC-H
-// grid.
+// smallest join build side, every breaker spills, and the results must
+// still match the oracle, with the unlimited-budget run's node actuals and
+// Bloom filter tallies, and with no temp files left behind. The quick
+// default covers a representative query mix; -mem-budget-test (CI's
+// constrained-memory step) runs the full TPC-H grid.
 
 var memBudgetFull = flag.Bool("mem-budget-test", false,
 	"run the memory-budget equivalence suite over every TPC-H query instead of the quick subset")
@@ -99,51 +99,27 @@ func TestExecutorEquivalenceMemBudget(t *testing.T) {
 		}
 	}
 	for _, num := range queries {
-		q, ok := tpch.Get(num)
-		if !ok {
-			t.Fatalf("unknown TPC-H query %d", num)
-		}
-		block := q.Build(ds.Schema)
-		opts := optimizer.DefaultOptions(0.01)
-		opts.Mode = optimizer.BFCBO
-		res, err := optimizer.Optimize(block, opts)
-		if err != nil {
-			t.Fatalf("Q%d: optimize: %v", num, err)
-		}
+		block, p := optimizeTPCH(t, ds, num, optimizer.BFCBO)
+		oc := newOracleCase(t, ds.DB, block)
 		for _, dop := range []int{1, 4} {
 			// The baseline runs unlimited at the same DOP: Bloom filter
 			// strategy — and so false-positive rate and intermediate
 			// actuals — legitimately varies with DOP.
-			baseline, err := Run(ds.DB, block, res.Plan, Options{DOP: dop})
+			baseline, err := Run(ds.DB, block, p, Options{DOP: dop})
 			if err != nil {
 				t.Fatalf("Q%d dop %d: unlimited run: %v", num, dop, err)
 			}
 			if s := baseline.TotalSpill(); s.Spilled() {
 				t.Errorf("Q%d dop %d: unlimited-budget run spilled: %+v", num, dop, s)
 			}
-			skip := phantomRels(res.Plan)
-			want := canonicalRows(baseline.Out, skip)
 			spillRoot := t.TempDir()
-			r, err := Run(ds.DB, block, res.Plan, Options{
+			r, err := Run(ds.DB, block, p, Options{
 				DOP: dop, MemBudget: tinyBudget, SpillDir: spillRoot,
 			})
 			if err != nil {
 				t.Fatalf("Q%d dop %d: budgeted run: %v", num, dop, err)
 			}
-			if r.Rows != baseline.Rows {
-				t.Errorf("Q%d dop %d: rows = %d, want %d", num, dop, r.Rows, baseline.Rows)
-			}
-			got := canonicalRows(r.Out, skip)
-			if len(got) != len(want) {
-				t.Errorf("Q%d dop %d: %d tuples, want %d", num, dop, len(got), len(want))
-			} else {
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("Q%d dop %d: tuple %d = %s, want %s", num, dop, i, got[i], want[i])
-						break
-					}
-				}
-			}
+			oc.check(t, fmt.Sprintf("Q%d dop %d budgeted", num, dop), p, r)
 			// Per-node actuals are deterministic row counts; they must
 			// survive spilling unchanged.
 			for _, na := range baseline.Actuals {
@@ -154,7 +130,7 @@ func TestExecutorEquivalenceMemBudget(t *testing.T) {
 			}
 			// Every query with a join must spill under the tiny budget; a
 			// joinless scan has no spillable breaker state.
-			if s := r.TotalSpill(); !s.Spilled() && len(res.Plan.Joins()) > 0 {
+			if s := r.TotalSpill(); !s.Spilled() && len(p.Joins()) > 0 {
 				t.Errorf("Q%d dop %d: tiny budget never spilled", num, dop)
 			}
 			// Bloom filters are bit-identical whether built in memory or

@@ -59,11 +59,11 @@ func mergeBenchFixture(b *testing.B, nOuter, nInner int) (*storage.Database, *qu
 	return db, blk, &plan.Plan{Root: root}
 }
 
-func benchmarkMergeJoin(b *testing.B, legacy bool) {
+func BenchmarkMergeJoin(b *testing.B) {
 	db, blk, p := mergeBenchFixture(b, 200_000, 50_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := Run(db, blk, p, Options{DOP: 4, Legacy: legacy})
+		r, err := Run(db, blk, p, Options{DOP: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,9 +72,6 @@ func benchmarkMergeJoin(b *testing.B, legacy bool) {
 		}
 	}
 }
-
-func BenchmarkMergeJoinLegacy(b *testing.B)    { benchmarkMergeJoin(b, true) }
-func BenchmarkMergeJoinPipelined(b *testing.B) { benchmarkMergeJoin(b, false) }
 
 // BenchmarkMergeJoinSort isolates sortByKey, the merge join's hot path.
 func BenchmarkMergeJoinSort(b *testing.B) {

@@ -41,8 +41,7 @@ type opStats struct {
 	wallNanos atomic.Int64
 	// Vectorized-probe sub-phases (gather keys / probe directory / emit
 	// pair-driven output) and the number of input rows whose key hashes
-	// arrived precomputed on the batch. Zero for non-join operators and
-	// for the scalar ablation path.
+	// arrived precomputed on the batch. Zero for non-join operators.
 	gatherNanos atomic.Int64
 	probeNanos  atomic.Int64
 	emitNanos   atomic.Int64
@@ -79,9 +78,8 @@ type OpStat struct {
 	// Wall is the summed in-operator wall time across workers (it can
 	// exceed the pipeline's elapsed time under parallelism).
 	Wall time.Duration
-	// Gather/Probe/Emit split a vectorized join probe's wall time into its
-	// three kernel phases (all zero for other operators and for the
-	// ScalarProbe ablation).
+	// Gather/Probe/Emit split a join probe's wall time into its three
+	// kernel phases (all zero for other operators).
 	Gather, Probe, Emit time.Duration
 	// HashReusedKeys counts input rows whose join-key hash arrived
 	// precomputed on the batch (scan Bloom probe → join probe hash carry).
@@ -175,8 +173,7 @@ type PipelineStat struct {
 	Phases BreakerPhases
 	// FoldCodeReused counts aggregation-fold input rows whose group code
 	// arrived on the batch's dictCodes side channel (scan dictionary →
-	// fold carry); zero for non-aggregating pipelines and the ScalarProbe
-	// ablation.
+	// fold carry); zero for non-aggregating pipelines.
 	FoldCodeReused int64
 	// Spill reports the pipeline's spill activity under a memory budget.
 	Spill SpillStat

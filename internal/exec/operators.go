@@ -48,7 +48,6 @@ type scanSource struct {
 	tbl     *storage.Table
 	kernels []query.Kernel
 	zones   []scanZone
-	scalar  bool
 	bfs     []*scanBloom
 	n       int
 	morsel  int
@@ -85,27 +84,25 @@ func (ex *executor) newScanSource(s *plan.Scan, stats *opStats) (*scanSource, er
 		return nil, fmt.Errorf("exec: scan of %s: %w", s.Alias, err)
 	}
 	src := &scanSource{
-		s: s, tbl: tbl, kernels: kernels, scalar: ex.scalarScan,
+		s: s, tbl: tbl, kernels: kernels,
 		n: tbl.NumRows(), morsel: ex.morsel, stats: stats,
 		stop:     &ex.stop,
 		carryIdx: -1,
 		predIn:   make([]atomic.Int64, len(kernels)),
 		predOut:  make([]atomic.Int64, len(kernels)),
 	}
-	if !src.scalar {
-		// Zone maps: each prunable conjunct pairs with its column's
-		// per-block bounds; a missing or type-mismatched map simply means
-		// no skipping for that conjunct.
-		for _, zp := range query.ZonePruners(s.Pred) {
-			zm := tbl.ZoneMap(zp.Col)
-			if zm == nil {
-				continue
-			}
-			if zp.SkipInt != nil && zm.IsInt() {
-				src.zones = append(src.zones, scanZone{zm: zm, skipInt: zp.SkipInt})
-			} else if zp.SkipFloat != nil && zm.IsFloat() {
-				src.zones = append(src.zones, scanZone{zm: zm, skipFloat: zp.SkipFloat})
-			}
+	// Zone maps: each prunable conjunct pairs with its column's per-block
+	// bounds; a missing or type-mismatched map simply means no skipping for
+	// that conjunct.
+	for _, zp := range query.ZonePruners(s.Pred) {
+		zm := tbl.ZoneMap(zp.Col)
+		if zm == nil {
+			continue
+		}
+		if zp.SkipInt != nil && zm.IsInt() {
+			src.zones = append(src.zones, scanZone{zm: zm, skipInt: zp.SkipInt})
+		} else if zp.SkipFloat != nil && zm.IsFloat() {
+			src.zones = append(src.zones, scanZone{zm: zm, skipFloat: zp.SkipFloat})
 		}
 	}
 	for _, id := range s.ApplyBlooms {
@@ -137,9 +134,6 @@ func (ex *executor) newScanSource(s *plan.Scan, stats *opStats) (*scanSource, er
 // then computed anyway, and keeping them costs one compaction at most.
 // The last matching probe wins: its vector needs no further compaction.
 func (src *scanSource) requestHashCarry(col string) {
-	if src.scalar {
-		return
-	}
 	for k, b := range src.bfs {
 		if b.vals2 == nil && b.col == col {
 			src.carryIdx, src.hashCol = k, col
@@ -151,7 +145,7 @@ func (src *scanSource) requestHashCarry(col string) {
 // col for every emitted row, so a downstream aggregation fold can skip
 // group-key interning (the dictCodes side channel).
 func (src *scanSource) requestDictCodes(col string, d *groupDict) {
-	if src.scalar || d == nil {
+	if d == nil {
 		return
 	}
 	src.codeDict, src.codeCol = d, col
@@ -189,7 +183,7 @@ func (src *scanSource) flushBloomStats() {
 // pipeline's workers folded their locals at Close.
 func (src *scanSource) runtime() ScanRuntime {
 	rt := ScanRuntime{
-		Rel: src.s.Rel, Alias: src.s.Alias, Vectorized: !src.scalar,
+		Rel: src.s.Rel, Alias: src.s.Alias,
 		Morsels:         src.morsels.Load(),
 		ZoneSkipped:     src.zoneSkipped.Load(),
 		ZoneSkippedRows: src.zoneSkippedRows.Load(),
@@ -221,8 +215,6 @@ type scanOp struct {
 
 	localTested  []int64
 	localPassed  []int64
-	localPredIn  []int64 // scalar path only; vector path reads chain counts
-	localPredOut []int64
 	localMorsels int64
 	localZoneSk  int64
 	localZoneRow int64
@@ -232,11 +224,6 @@ func (o *scanOp) Open() error {
 	src := o.src
 	o.localTested = make([]int64, len(src.bfs))
 	o.localPassed = make([]int64, len(src.bfs))
-	if src.scalar {
-		o.localPredIn = make([]int64, len(src.kernels))
-		o.localPredOut = make([]int64, len(src.kernels))
-		return nil
-	}
 	if len(src.kernels) > 0 {
 		o.chain = query.NewChain(src.kernels)
 	}
@@ -273,10 +260,6 @@ func (o *scanOp) Close() error {
 			src.predOut[i].Add(c.Out)
 		}
 	}
-	for i := range o.localPredIn {
-		src.predIn[i].Add(o.localPredIn[i])
-		src.predOut[i].Add(o.localPredOut[i])
-	}
 	if o.keys != nil {
 		*o.keys = (*o.keys)[:0]
 		keyVecPool.Put(o.keys)
@@ -285,19 +268,12 @@ func (o *scanOp) Close() error {
 	return nil
 }
 
+// NextBatch claims a morsel, consults the zone maps, runs the adaptive
+// kernel chain over the selection vector, then probes the Bloom filters
+// over gathered key batches hashed once per batch. When a side channel was
+// requested, the batch also carries the surviving hash vector of the carry
+// Bloom probe and/or gathered group-dictionary codes.
 func (o *scanOp) NextBatch() (*Batch, error) {
-	if o.src.scalar {
-		return o.nextScalar()
-	}
-	return o.nextVector()
-}
-
-// nextVector is the batch kernel path: claim a morsel, consult the zone
-// maps, run the adaptive kernel chain over the selection vector, then probe
-// the Bloom filters over gathered key batches hashed once per batch. When
-// a side channel was requested, the batch also carries the surviving hash
-// vector of the carry Bloom probe and/or gathered group-dictionary codes.
-func (o *scanOp) nextVector() (*Batch, error) {
 	src := o.src
 	for {
 		if src.stop != nil && src.stop.Load() {
@@ -382,108 +358,44 @@ func (o *scanOp) nextVector() (*Batch, error) {
 	}
 }
 
-// nextScalar is the row-at-a-time ablation baseline (Options.ScalarScan):
-// kernels still bind columns once at compile, but rows are evaluated and
-// Bloom-probed one at a time, interface call per predicate per row.
-func (o *scanOp) nextScalar() (*Batch, error) {
-	src := o.src
-	for {
-		if src.stop != nil && src.stop.Load() {
-			return nil, nil
-		}
-		lo := int(src.cursor.Add(int64(src.morsel))) - src.morsel
-		if lo >= src.n {
-			return nil, nil
-		}
-		hi := lo + src.morsel
-		if hi > src.n {
-			hi = src.n
-		}
-		start := time.Now()
-		o.localMorsels++
-		out := NewRowSetCap(query.NewRelSet(src.s.Rel), hi-lo)
-		col := out.cols[0]
-	rows:
-		for i := lo; i < hi; i++ {
-			for k, kn := range src.kernels {
-				o.localPredIn[k]++
-				if !kn.EvalRow(int32(i)) {
-					continue rows
-				}
-				o.localPredOut[k]++
-			}
-			for k, b := range src.bfs {
-				o.localTested[k]++
-				key := b.vals[i]
-				if b.vals2 != nil {
-					key = bloom.CombineKeys(key, b.vals2[i])
-				}
-				// One shared mix per key serves both Bloom probe
-				// positions (the second derives from the first).
-				if !b.h.MayContainHash(bloom.KeyHash(key)) {
-					continue rows
-				}
-				o.localPassed[k]++
-			}
-			col = append(col, int32(i))
-		}
-		out.cols[0] = col
-		src.stats.observe(hi-lo, len(col), time.Since(start))
-		if len(col) > 0 {
-			o.out = Batch{rows: out, sel: col}
-			return &o.out, nil
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Hash-join probe: batches stream against a shared, read-only hash table
 // built by the join's build pipeline.
 
 // hashTable is the shared result of a hash-build sink: the materialized
 // build side, the gathered key columns, and the probe structure — flat
-// unchained hashtab.JoinTables by default (one per partition when the
-// build ran across workers; probes select the partition by key hash), or
-// the legacy per-partition Go maps when Options.MapKernels asks for the
-// ablation baseline.
+// unchained hashtab.JoinTables, one per partition when the build ran
+// across workers (probes select the partition by key hash).
 type hashTable struct {
 	inner       *RowSet
 	innerKeys   []int64
-	innerHashes []uint64 // hashKey of innerKeys, computed once per build
+	innerHashes []uint64 // hashtab.Hash of innerKeys, computed once per build
 	innerExtras [][]int64
 	tabs        []*hashtab.JoinTable
-	parts       []map[int64][]int32 // MapKernels fallback
 }
 
-// lookup returns the build rows matching key; h is hashKey(key), hashed
-// once per probe batch by the caller and reused for partition selection
-// and the directory probe.
+// lookup returns the build rows matching key; h is hashtab.Hash(key),
+// hashed once per probe batch by the caller and reused for partition
+// selection and the directory probe.
 func (ht *hashTable) lookup(key int64, h uint64) []int32 {
-	if ht.tabs != nil {
-		t := ht.tabs[0]
-		if len(ht.tabs) > 1 {
-			t = ht.tabs[h%uint64(len(ht.tabs))]
-		}
-		return t.Lookup(key, h)
+	t := ht.tabs[0]
+	if len(ht.tabs) > 1 {
+		t = ht.tabs[h%uint64(len(ht.tabs))]
 	}
-	return ht.parts[int(h%uint64(len(ht.parts)))][key]
+	return t.Lookup(key, h)
 }
 
-// tableBytes reports the probe structure's exact heap footprint (flat
-// kernels) or the hashEntryBytes estimate (map fallback), for broker
-// accounting.
+// tableBytes reports the probe structure's exact heap footprint, for
+// broker accounting.
 func (ht *hashTable) tableBytes() int64 {
-	if ht.tabs != nil {
-		var b int64
-		for _, t := range ht.tabs {
-			b += t.Bytes()
-		}
-		return b
+	var b int64
+	for _, t := range ht.tabs {
+		b += t.Bytes()
 	}
-	return int64(len(ht.innerKeys)) * hashEntryBytes
+	return b
 }
 
-// hashVecPar computes hashKey for every key, fanning the mix across dop
+// hashVecPar computes hashtab.Hash for every key, fanning the mix across dop
 // workers above the finish threshold. The vector is computed once per
 // build side and shared by Bloom population, partition routing, and the
 // directory build — the "hash once, use twice" contract.
@@ -547,15 +459,14 @@ func gatherBuildKeys(ex *executor, j *plan.Join, inner *RowSet) (*hashTable, err
 	return ht, nil
 }
 
-// buildHashTableFrom builds the probe structure over gathered keys. The
-// default is the flat unchained kernel: a count-then-scatter shuffle
-// over flat arrays distributes row ids into contiguous per-partition
-// segments (embarrassingly parallel, no per-partition maps, no append
-// growth), and each partition owner builds its JoinTable from its
-// segment. Every O(n) phase is parallel across dop workers, so the
-// breaker's finish time scales with DOP instead of being the executor's
-// serial tail. Payload order is ascending build-row id per key in both
-// kernels, so probe results are bit-identical to the map baseline.
+// buildHashTableFrom builds the probe structure over gathered keys: a
+// count-then-scatter shuffle over flat arrays distributes row ids into
+// contiguous per-partition segments (embarrassingly parallel, no
+// per-partition maps, no append growth), and each partition owner builds
+// its flat unchained JoinTable from its segment. Every O(n) phase is
+// parallel across dop workers, so the breaker's finish time scales with
+// DOP instead of being the executor's serial tail. Payload order is
+// ascending build-row id per key.
 func buildHashTableFrom(ex *executor, ht *hashTable) (*hashTable, error) {
 	n := len(ht.innerKeys)
 	nparts := ex.dop
@@ -565,9 +476,6 @@ func buildHashTableFrom(ex *executor, ht *hashTable) (*hashTable, error) {
 	// The hash vector is transient build state (probes hash per batch);
 	// release it once the directory is built.
 	defer func() { ht.innerHashes = nil }()
-	if ex.mapKernels {
-		return buildMapTable(ht, n, nparts)
-	}
 	// Weight 12: directory inserts dominate; the shuffle only pays off
 	// once per-partition build work amortizes the goroutine fan-outs.
 	if nparts == 1 || !parallelFinishThreshold(n, 12, nparts) {
@@ -648,69 +556,6 @@ func buildHashTableFrom(ex *executor, ht *hashTable) (*hashTable, error) {
 	return ht, nil
 }
 
-// buildMapTable is the Go-map baseline kept for the map-vs-flat ablation
-// (Options.MapKernels): one map per partition, two-phase parallel build.
-func buildMapTable(ht *hashTable, n, nparts int) (*hashTable, error) {
-	ht.parts = make([]map[int64][]int32, nparts)
-	if nparts == 1 || !parallelFinishThreshold(n, 12, nparts) {
-		m := make(map[int64][]int32, n)
-		for ii, k := range ht.innerKeys {
-			m[k] = append(m[k], int32(ii))
-		}
-		if nparts == 1 {
-			ht.parts[0] = m
-			return ht, nil
-		}
-		for p := range ht.parts {
-			ht.parts[p] = make(map[int64][]int32)
-		}
-		for k, ids := range m {
-			ht.parts[int(hashKey(k)%uint64(nparts))][k] = ids
-		}
-		return ht, nil
-	}
-	chunks := make([][][]int32, nparts) // producer -> partition -> row ids
-	var wg sync.WaitGroup
-	var trap panicTrap
-	for c := 0; c < nparts; c++ {
-		lo, hi := c*n/nparts, (c+1)*n/nparts
-		chunks[c] = make([][]int32, nparts)
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			defer trap.catch()
-			for ii := lo; ii < hi; ii++ {
-				p := int(ht.innerHashes[ii] % uint64(nparts))
-				chunks[c][p] = append(chunks[c][p], int32(ii))
-			}
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	trap.rethrow()
-	for p := 0; p < nparts; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer trap.catch()
-			total := 0
-			for c := 0; c < nparts; c++ {
-				total += len(chunks[c][p])
-			}
-			m := make(map[int64][]int32, total)
-			for c := 0; c < nparts; c++ {
-				for _, ii := range chunks[c][p] {
-					k := ht.innerKeys[ii]
-					m[k] = append(m[k], ii)
-				}
-			}
-			ht.parts[p] = m
-		}(p)
-	}
-	wg.Wait()
-	trap.rethrow()
-	return ht, nil
-}
-
 // buildHashTable gathers the build keys and builds the probe structure
 // in one step — the path used by the grace drain, where Bloom filters
 // were already populated from the spill files.
@@ -736,8 +581,6 @@ type probeShared struct {
 	outerVals [][]int64
 	outerRels []int
 	stats     *opStats
-	// scalar selects the row-at-a-time ablation kernel (Options.ScalarProbe).
-	scalar bool
 }
 
 func (ex *executor) newProbeShared(j *plan.Join, ht *hashTable, g *graceHashJoin,
@@ -746,7 +589,6 @@ func (ex *executor) newProbeShared(j *plan.Join, ht *hashTable, g *graceHashJoin
 		j: j, ht: ht,
 		outRels: inRels.Union(j.Inner.Rels()),
 		stats:   stats,
-		scalar:  ex.scalarProbe,
 	}
 	sh.wiring = newColWiring(sh.outRels, inRels, j.Inner.Rels())
 	for _, c := range j.Conds {
@@ -802,21 +644,6 @@ func (scr *probeScratch) ensureOut(rels query.RelSet, n int) *RowSet {
 	return rs
 }
 
-// hashBatch fills the scratch hash vector for one batch: each outer key
-// is mixed once and the vector serves both partition selection and the
-// directory probe.
-func (scr *probeScratch) hashBatch(keyIDs []int32, keyVals []int64) []uint64 {
-	n := len(keyIDs)
-	if cap(scr.hashes) < n {
-		scr.hashes = make([]uint64, n)
-	}
-	hs := scr.hashes[:n]
-	for oi := 0; oi < n; oi++ {
-		hs[oi] = hashKey(keyVals[keyIDs[oi]])
-	}
-	return hs
-}
-
 // probeOp streams batches from child through the hash table (or, in grace
 // mode, through the partition files — see graceNext).
 type probeOp struct {
@@ -857,20 +684,12 @@ func (sh *probeShared) matchIn(ht *hashTable, outerIDs [][]int32, oi int, ii int
 	return true
 }
 
-// probeBatch is the probe kernel: it joins one input batch against ht and
-// returns the output batch. It is shared by the streaming NextBatch path
-// and the grace drain, which probes reloaded partition chunks through the
-// same code so every join type and extra condition behaves identically.
-// The returned batch is scr-backed scratch, valid until the next call.
-func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch) *Batch {
-	if sh.scalar {
-		scr.outBatch = Batch{rows: sh.probeBatchScalar(ht, in.rows, scr)}
-		return &scr.outBatch
-	}
-	return sh.probeBatchVec(ht, in, scr)
-}
-
-// probeBatchVec is the vectorized probe kernel, in three phases. Gather:
+// probeBatch is the vectorized probe kernel: it joins one input batch
+// against ht and returns the output batch. It is shared by the streaming
+// NextBatch path and the grace drain, which probes reloaded partition
+// chunks through the same code so every join type and extra condition
+// behaves identically. The returned batch is scr-backed scratch, valid
+// until the next call. It runs in three phases. Gather:
 // resolve the per-condition outer row-id columns once, gather the key
 // column through them into scratch, and hash the whole vector once via
 // HashVec — or reuse the batch's carried hash vector when the scan's
@@ -880,9 +699,9 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch) *
 // a vectorized post-filter, one column loop per condition, over the pair
 // vectors. Emit: bulk per-column gathers driven by the pair vectors
 // materialize the output columns through the precomputed wiring. Output
-// row order is exactly the scalar kernel's: ascending outer position,
-// ascending build row id within a key (the payload order).
-func (sh *probeShared) probeBatchVec(ht *hashTable, in *Batch, scr *probeScratch) *Batch {
+// row order is ascending outer position, ascending build row id within a
+// key (the payload order).
+func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch) *Batch {
 	n := in.rows.Len()
 	gatherStart := time.Now()
 	if cap(scr.outerIDs) < len(sh.outerRels) {
@@ -1048,71 +867,6 @@ func (sh *probeShared) filterExtras(ht *hashTable, outerIDs [][]int32, candO, ca
 	return candO, candI
 }
 
-// probeBatchScalar is the row-at-a-time ablation baseline
-// (Options.ScalarProbe): per-row hash, lookup, extras check and
-// appendJoined emit — the kernel the vectorized path replaced.
-func (sh *probeShared) probeBatchScalar(ht *hashTable, in *RowSet, scr *probeScratch) *RowSet {
-	n := in.Len()
-	out := NewRowSetCap(sh.outRels, n)
-	// Row-id column of the outer key relation per condition, resolved
-	// once per batch into the worker's scratch.
-	if cap(scr.outerIDs) < len(sh.outerRels) {
-		scr.outerIDs = make([][]int32, len(sh.outerRels))
-	}
-	outerIDs := scr.outerIDs[:len(sh.outerRels)]
-	for e, rel := range sh.outerRels {
-		outerIDs[e] = in.Col(rel)
-	}
-	keyIDs, keyVals := outerIDs[0], sh.outerVals[0]
-	hs := scr.hashBatch(keyIDs, keyVals)
-	switch sh.j.JoinType {
-	case query.Inner:
-		for oi := 0; oi < n; oi++ {
-			for _, ii := range ht.lookup(keyVals[keyIDs[oi]], hs[oi]) {
-				if sh.matchIn(ht, outerIDs, oi, ii) {
-					out.appendJoined(sh.wiring, in, oi, ht.inner, int(ii))
-				}
-			}
-		}
-	case query.Semi:
-		for oi := 0; oi < n; oi++ {
-			for _, ii := range ht.lookup(keyVals[keyIDs[oi]], hs[oi]) {
-				if sh.matchIn(ht, outerIDs, oi, ii) {
-					out.appendJoined(sh.wiring, in, oi, ht.inner, int(ii))
-					break
-				}
-			}
-		}
-	case query.Anti:
-		for oi := 0; oi < n; oi++ {
-			found := false
-			for _, ii := range ht.lookup(keyVals[keyIDs[oi]], hs[oi]) {
-				if sh.matchIn(ht, outerIDs, oi, ii) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				out.appendJoined(sh.wiring, in, oi, ht.inner, -1)
-			}
-		}
-	case query.Left:
-		for oi := 0; oi < n; oi++ {
-			emitted := false
-			for _, ii := range ht.lookup(keyVals[keyIDs[oi]], hs[oi]) {
-				if sh.matchIn(ht, outerIDs, oi, ii) {
-					out.appendJoined(sh.wiring, in, oi, ht.inner, int(ii))
-					emitted = true
-				}
-			}
-			if !emitted {
-				out.appendJoined(sh.wiring, in, oi, ht.inner, -1)
-			}
-		}
-	}
-	return out
-}
-
 func (o *probeOp) NextBatch() (*Batch, error) {
 	if o.gw != nil {
 		return o.graceNext()
@@ -1240,7 +994,7 @@ func (o *nlProbeOp) NextBatch() (*Batch, error) {
 type sortedInput struct {
 	rs *RowSet
 	// idx is the row order sorted by keys; keys/extras are indexed by raw
-	// row position (pre-sort), like the legacy merge.
+	// row position (pre-sort).
 	idx    []int
 	keys   []int64
 	extras [][]int64

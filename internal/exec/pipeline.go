@@ -238,7 +238,7 @@ func (s *hashBuildSink) finish() error {
 			gatherWall := time.Since(start)
 			if len(s.j.BuildBlooms) > 0 {
 				start := time.Now()
-				if err := s.ex.buildBloomsShared(s.j, inner, ht); err != nil {
+				if err := s.ex.buildBlooms(s.j, inner, ht); err != nil {
 					return err
 				}
 				s.ph.Bloom = time.Since(start)
@@ -757,20 +757,18 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 		}
 	}
 
-	// Batch side-channel requests onto the scan source. Both are
-	// vector-path contracts (the ScalarProbe ablation must behave exactly
-	// like the row-at-a-time engine, so it asks for neither): the first
-	// hash probe keyed on a scan column can reuse the scan's Bloom hash
-	// vector, and an aggregation group key living on the scan relation can
-	// ride the batch as dictionary codes so the fold skips interning.
-	if scanSrc != nil && !ex.scalarProbe {
+	// Batch side-channel requests onto the scan source: the first hash
+	// probe keyed on a scan column can reuse the scan's Bloom hash vector,
+	// and an aggregation group key living on the scan relation can ride
+	// the batch as dictionary codes so the fold skips interning.
+	if scanSrc != nil {
 		if len(pl.Ops) > 0 {
 			if j := pl.Ops[0]; j.Method == plan.HashJoin && len(j.Conds) > 0 &&
 				j.Conds[0].OuterRel == scanSrc.s.Rel {
 				scanSrc.requestHashCarry(j.Conds[0].OuterCol)
 			}
 		}
-		if pl.Sink == plan.SinkResult && !ex.mapKernels {
+		if pl.Sink == plan.SinkResult {
 			for _, spec := range ex.aggSpecs {
 				if spec.Kind != AggGroupCount && spec.Kind != AggGroupRevenue {
 					continue

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"math"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -40,23 +40,6 @@ func TestPipelinedOpStatsAndExplainAnalyze(t *testing.T) {
 		if !strings.Contains(ea, want) {
 			t.Fatalf("ExplainAnalyze missing %q:\n%s", want, ea)
 		}
-	}
-	// Legacy runs fall back to est→actual without operator stats.
-	res, err := optimizer.Optimize(factDimBlock(schema, query.Inner), optimizer.Options{
-		Mode: optimizer.NoBF, Cost: cost.Default(), MaxPlansPerSet: 100_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lr, err := Run(db, factDimBlock(schema, query.Inner), res.Plan, Options{DOP: 2, Legacy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lr.OpStats) != 0 || len(lr.Pipelines) != 0 {
-		t.Fatalf("legacy run recorded pipeline stats: %+v", lr.Pipelines)
-	}
-	if !strings.Contains(lr.ExplainAnalyze(res.Plan), "actual=") {
-		t.Fatal("legacy ExplainAnalyze missing actuals")
 	}
 }
 
@@ -152,10 +135,11 @@ func aggBlockFixture(t *testing.T) (*storage.Database, *query.Block, *plan.Plan)
 	return db, b, &plan.Plan{Root: root}
 }
 
-// The streaming aggregation sink must match the legacy post-hoc helpers
-// exactly, without materializing the final row set.
-func TestStreamingAggregationMatchesLegacy(t *testing.T) {
+// The streaming aggregation sink must match the oracle's plain-loop
+// aggregates without materializing the final row set.
+func TestStreamingAggregationMatchesOracle(t *testing.T) {
 	db, b, p := aggBlockFixture(t)
+	oc := newOracleCase(t, db, b)
 	specs := []AggSpec{
 		{Kind: AggCountStar},
 		{Kind: AggSum, Rel: 0, Col: "price"},
@@ -164,50 +148,26 @@ func TestStreamingAggregationMatchesLegacy(t *testing.T) {
 		{Kind: AggGroupRevenue, KeyRel: 1, KeyCol: "name", Rel: 0, PriceCol: "price", DiscCol: "disc"},
 	}
 	for _, dop := range []int{1, 4} {
-		legacy, err := Run(db, b, p, Options{DOP: dop, Legacy: true, Aggregates: specs})
+		r, err := Run(db, b, p, Options{DOP: dop, Aggregates: specs, MorselSize: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
-		piped, err := Run(db, b, p, Options{DOP: dop, Aggregates: specs, MorselSize: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if piped.Out != nil {
+		if r.Out != nil {
 			t.Fatal("streaming aggregation should not materialize the result")
 		}
-		if piped.Rows != legacy.Rows {
-			t.Fatalf("dop %d: rows diverge: %d vs %d", dop, piped.Rows, legacy.Rows)
+		if r.Rows != len(oc.tuples) {
+			t.Fatalf("dop %d: rows = %d, oracle %d", dop, r.Rows, len(oc.tuples))
 		}
-		for i := range specs {
-			l, g := legacy.Aggregates[i], piped.Aggregates[i]
-			if l.Count != g.Count || math.Abs(l.Sum-g.Sum) > 1e-6 {
-				t.Fatalf("dop %d spec %d: %+v vs %+v", dop, i, l, g)
-			}
-			if len(l.Groups) != len(g.Groups) || len(l.GroupSums) != len(g.GroupSums) {
-				t.Fatalf("dop %d spec %d: group shapes diverge: %+v vs %+v", dop, i, l, g)
-			}
-			for k, v := range l.Groups {
-				if g.Groups[k] != v {
-					t.Fatalf("dop %d spec %d: group %q: %d vs %d", dop, i, k, v, g.Groups[k])
-				}
-			}
-			for k, v := range l.GroupSums {
-				if math.Abs(g.GroupSums[k]-v) > 1e-6 {
-					t.Fatalf("dop %d spec %d: group sum %q: %v vs %v", dop, i, k, v, g.GroupSums[k])
-				}
-			}
-		}
+		oc.checkAggs(t, fmt.Sprintf("dop %d", dop), specs, r, dop == 1)
 	}
 }
 
 func TestAggregateValidation(t *testing.T) {
 	db, b, p := aggBlockFixture(t)
-	// Sum over a string column must fail in both executors.
-	for _, legacy := range []bool{true, false} {
-		_, err := Run(db, b, p, Options{DOP: 2, Legacy: legacy,
-			Aggregates: []AggSpec{{Kind: AggGroupCount, KeyRel: 0, KeyCol: "price"}}})
-		if err == nil {
-			t.Fatalf("legacy=%v: non-string group key should error", legacy)
-		}
+	// A group key must be a string column; grouping by a float fails.
+	_, err := Run(db, b, p, Options{DOP: 2,
+		Aggregates: []AggSpec{{Kind: AggGroupCount, KeyRel: 0, KeyCol: "price"}}})
+	if err == nil {
+		t.Fatal("non-string group key should error")
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,64 +13,29 @@ import (
 	"bfcbo/internal/tpch"
 )
 
-// The scan A/B suite: the vectorized kernel-chain scan (the default) must
-// be bit-identical to the row-at-a-time baseline it replaced
-// (Options.ScalarScan) over the TPC-H plans — zone-map morsel skipping,
-// adaptive predicate reordering, dictionary string compares and batched
-// Bloom probes are all pure optimizations, never visible in results.
+// The scan suite: the vectorized kernel-chain scan against the scalar,
+// row-at-a-time oracle (oracle_test.go), which evaluates every predicate
+// through query.Predicate.Eval — zone-map morsel skipping, adaptive
+// predicate reordering, dictionary string compares and batched Bloom
+// probes are all pure optimizations, never visible in results or in a
+// filter-free scan's row count.
 
+// The TPC-H plans with 1000-row morsels, misaligned with the zone-map
+// blocks, so skips straddle partial blocks.
 func TestScalarVsVectorScanTPCH(t *testing.T) {
 	ds := equivalenceDataset(t)
 	for _, q := range tpch.All() {
-		block := q.Build(ds.Schema)
-		opts := optimizer.DefaultOptions(0.01)
-		opts.Mode = optimizer.BFCBO
-		res, err := optimizer.Optimize(block, opts)
-		if err != nil {
-			t.Fatalf("Q%d: optimize: %v", q.Num, err)
-		}
-		skip := phantomRels(res.Plan)
+		block, p := optimizeTPCH(t, ds, q.Num, optimizer.BFCBO)
+		oc := newOracleCase(t, ds.DB, block)
 		for _, dop := range []int{1, 4} {
-			vec, err := Run(ds.DB, block, res.Plan, Options{DOP: dop})
+			r, err := Run(ds.DB, block, p, Options{DOP: dop, MorselSize: 1000})
 			if err != nil {
-				t.Fatalf("Q%d dop %d: vectorized scan: %v", q.Num, dop, err)
+				t.Fatalf("Q%d dop %d: %v", q.Num, dop, err)
 			}
-			scl, err := Run(ds.DB, block, res.Plan, Options{DOP: dop, ScalarScan: true})
-			if err != nil {
-				t.Fatalf("Q%d dop %d: scalar scan: %v", q.Num, dop, err)
-			}
-			if vec.Rows != scl.Rows {
-				t.Fatalf("Q%d dop %d: rows diverge: vector=%d scalar=%d",
-					q.Num, dop, vec.Rows, scl.Rows)
-			}
-			for _, na := range scl.Actuals {
-				if got := vec.ActualFor(na.Node); got != na.Actual {
-					t.Errorf("Q%d dop %d: node actual diverges: vector=%v scalar=%v",
-						q.Num, dop, got, na.Actual)
-				}
-			}
-			vr := canonicalRows(vec.Out, skip)
-			sr := canonicalRows(scl.Out, skip)
-			for i := range sr {
-				if vr[i] != sr[i] {
-					t.Fatalf("Q%d dop %d: output row %d diverges: vector=%q scalar=%q",
-						q.Num, dop, i, vr[i], sr[i])
-				}
-			}
-			// Both runs report per-scan counters with the right mode flag.
-			if len(vec.Scans) != len(res.Plan.Scans()) || len(scl.Scans) != len(res.Plan.Scans()) {
-				t.Fatalf("Q%d dop %d: scan runtimes: vector=%d scalar=%d, want %d",
-					q.Num, dop, len(vec.Scans), len(scl.Scans), len(res.Plan.Scans()))
-			}
-			for _, sc := range vec.Scans {
-				if !sc.Vectorized {
-					t.Errorf("Q%d: scan %s not marked vectorized", q.Num, sc.Alias)
-				}
-			}
-			for _, sc := range scl.Scans {
-				if sc.Vectorized {
-					t.Errorf("Q%d: scalar-run scan %s marked vectorized", q.Num, sc.Alias)
-				}
+			oc.check(t, label(q.Num, optimizer.BFCBO, dop)+" morsel 1000", p, r)
+			if len(r.Scans) != len(p.Scans()) {
+				t.Fatalf("Q%d dop %d: %d scan runtimes, want %d",
+					q.Num, dop, len(r.Scans), len(p.Scans()))
 			}
 		}
 	}
@@ -81,34 +47,21 @@ func TestScalarVsVectorScanTPCH(t *testing.T) {
 func TestScalarVsVectorScanMorselSizes(t *testing.T) {
 	ds := equivalenceDataset(t)
 	for _, num := range []int{6, 7} {
-		q, _ := tpch.Get(num)
-		block := q.Build(ds.Schema)
-		opts := optimizer.DefaultOptions(0.01)
-		opts.Mode = optimizer.BFCBO
-		res, err := optimizer.Optimize(block, opts)
-		if err != nil {
-			t.Fatalf("Q%d: optimize: %v", num, err)
-		}
+		block, p := optimizeTPCH(t, ds, num, optimizer.BFCBO)
+		oc := newOracleCase(t, ds.DB, block)
 		for _, morsel := range []int{64, 1500, 5000} {
-			vec, err := Run(ds.DB, block, res.Plan, Options{DOP: 2, MorselSize: morsel})
+			r, err := Run(ds.DB, block, p, Options{DOP: 2, MorselSize: morsel})
 			if err != nil {
-				t.Fatalf("Q%d morsel %d: vectorized: %v", num, morsel, err)
+				t.Fatalf("Q%d morsel %d: %v", num, morsel, err)
 			}
-			scl, err := Run(ds.DB, block, res.Plan, Options{DOP: 2, MorselSize: morsel, ScalarScan: true})
-			if err != nil {
-				t.Fatalf("Q%d morsel %d: scalar: %v", num, morsel, err)
-			}
-			if vec.Rows != scl.Rows {
-				t.Fatalf("Q%d morsel %d: rows diverge: vector=%d scalar=%d",
-					num, morsel, vec.Rows, scl.Rows)
-			}
+			oc.check(t, fmt.Sprintf("Q%d morsel %d", num, morsel), p, r)
 		}
 	}
 }
 
 // Zone-map skipping on clustered data: a sorted column with a narrow range
 // predicate must eliminate most morsels before any row is touched, with
-// results identical to the scalar baseline.
+// results identical to the oracle's.
 func TestScanZoneMapSkip(t *testing.T) {
 	const n = 40 * storage.ZoneBlockRows
 	ints := make([]int64, n)
@@ -132,21 +85,19 @@ func TestScanZoneMapSkip(t *testing.T) {
 	pred := query.BetweenInt{Col: "v", Lo: 100, Hi: 300}
 	b := &query.Block{
 		Name:      "zscan",
-		Relations: []query.Relation{{Alias: "z", Table: schema.MustTable("ztab")}},
+		Relations: []query.Relation{{Alias: "z", Table: schema.MustTable("ztab"), Pred: pred}},
 	}
 	p := &plan.Plan{Root: &plan.Scan{Rel: 0, Alias: "z", Table: "ztab", Pred: pred}}
+	oc := newOracleCase(t, db, b)
 	for _, dop := range []int{1, 4} {
 		vec, err := Run(db, b, p, Options{DOP: dop})
 		if err != nil {
 			t.Fatal(err)
 		}
-		scl, err := Run(db, b, p, Options{DOP: dop, ScalarScan: true})
-		if err != nil {
-			t.Fatal(err)
+		if vec.Rows != 201 {
+			t.Fatalf("dop %d: rows = %d, want 201", dop, vec.Rows)
 		}
-		if vec.Rows != 201 || scl.Rows != 201 {
-			t.Fatalf("dop %d: rows vector=%d scalar=%d, want 201", dop, vec.Rows, scl.Rows)
-		}
+		oc.check(t, fmt.Sprintf("dop %d", dop), p, vec)
 		if len(vec.Scans) != 1 {
 			t.Fatalf("dop %d: %d scan runtimes, want 1", dop, len(vec.Scans))
 		}
@@ -163,10 +114,6 @@ func TestScanZoneMapSkip(t *testing.T) {
 		}
 		if len(sc.Preds) != 1 || sc.Preds[0].Out != 201 {
 			t.Fatalf("dop %d: predicate counters %+v, want one kernel with Out=201", dop, sc.Preds)
-		}
-		// The scalar baseline never consults zone maps.
-		if scl.Scans[0].ZoneSkipped != 0 {
-			t.Fatalf("dop %d: scalar run skipped %d morsels", dop, scl.Scans[0].ZoneSkipped)
 		}
 	}
 }

@@ -67,31 +67,6 @@ func HashVec(keys []int64, dst []uint64) []uint64 {
 	return dst
 }
 
-// HashString mixes a string through the shared Hash family: 8-byte
-// little-endian chunks folded through the int64 mixer, seeded with the
-// length so prefixes of each other hash apart. It exists so string-keyed
-// paths (group-merge sharding) draw from the same mixer as every integer
-// hot path instead of keeping a private hash function.
-func HashString(s string) uint64 {
-	h := Hash(int64(len(s)))
-	for len(s) >= 8 {
-		var w uint64
-		for i := 0; i < 8; i++ {
-			w |= uint64(s[i]) << (8 * i)
-		}
-		h = Hash(int64(w ^ h))
-		s = s[8:]
-	}
-	if len(s) > 0 {
-		var w uint64
-		for i := 0; i < len(s); i++ {
-			w |= uint64(s[i]) << (8 * i)
-		}
-		h = Hash(int64(w ^ h))
-	}
-	return h
-}
-
 // tagOf derives the 8-bit directory tag from a hash. It reads bits
 // 24–31 — disjoint from both the directory index (top bits) and the
 // partition selector (h mod nparts, low bits) — and forces the high bit

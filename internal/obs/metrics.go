@@ -14,7 +14,7 @@ type Metrics struct {
 	// Query lifecycle.
 	Queries      *Counter   // queries finished (ok or error)
 	QueryErrors  *Counter   // queries finished with an error
-	QueryLatency *Histogram // end-to-end run latency, seconds
+	QueryLatency *Histogram // query latency from admission to result, seconds
 	QueueWait    *Histogram // admission-queue wait per query, seconds
 	SlotWait     *Histogram // summed worker slot-wait per query, seconds
 
@@ -57,7 +57,7 @@ func NewMetrics(reg *Registry) *Metrics {
 	return &Metrics{
 		Queries:      reg.NewCounter("bfcbo_queries_total", "Queries finished (including errors)."),
 		QueryErrors:  reg.NewCounter("bfcbo_query_errors_total", "Queries finished with an error."),
-		QueryLatency: reg.NewHistogram("bfcbo_query_latency_seconds", "End-to-end query latency.", LatencyBuckets),
+		QueryLatency: reg.NewHistogram("bfcbo_query_latency_seconds", "Query latency from admission to result (excludes parse and planning).", LatencyBuckets),
 		QueueWait:    reg.NewHistogram("bfcbo_queue_wait_seconds", "Admission-queue wait per query.", LatencyBuckets),
 		SlotWait:     reg.NewHistogram("bfcbo_slot_wait_seconds", "Summed worker slot wait per query.", LatencyBuckets),
 

@@ -121,6 +121,9 @@ func (o *optimizer) markCandidates() {
 		if h.H2MinApplyRows > 0 && o.est.BaseRows(applyRel) <= h.H2MinApplyRows {
 			return
 		}
+		if o.crossesOuterUnit(applyRel, buildRel) {
+			return
+		}
 		rk := [2]int{applyRel, buildRel}
 		ck := [2]string{applyCol, buildCol}
 		if seen[rk] == nil {
@@ -212,6 +215,22 @@ func (o *optimizer) markCandidates() {
 	}
 }
 
+// crossesOuterUnit reports whether a filter built on buildRel and applied
+// to applyRel would reach out of an anti or left join's subquery side into
+// its row-preserving side: there it would drop the very rows the join must
+// keep. Only an inner clause can pair such endpoints — a second, correlated
+// condition of the anti or left join, which the join evaluates along with
+// its own clause.
+func (o *optimizer) crossesOuterUnit(applyRel, buildRel int) bool {
+	for _, c := range o.block.Clauses {
+		if (c.Type == query.Anti || c.Type == query.Left) &&
+			c.SubRels.Has(buildRel) && !c.SubRels.Has(applyRel) {
+			return true
+		}
+	}
+	return false
+}
+
 // markCompositeCandidates adds one multi-column candidate per relation pair
 // joined on two or more inner clauses (the §5 extension). The composite key
 // covers the first two clauses; direction follows Heuristic 1.
@@ -257,6 +276,9 @@ func (o *optimizer) markCompositeCandidates() {
 			applyCols, buildCols = p.rc, p.lc
 		}
 		if h.H2MinApplyRows > 0 && o.est.BaseRows(applyRel) <= h.H2MinApplyRows {
+			continue
+		}
+		if o.crossesOuterUnit(applyRel, buildRel) {
 			continue
 		}
 		// A pair filter is at least as selective as either constituent

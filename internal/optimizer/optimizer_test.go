@@ -491,33 +491,78 @@ func TestHeuristic5SizeLimit(t *testing.T) {
 func TestAntiJoinGetsNoBloomCandidates(t *testing.T) {
 	mk := func(name string, rows float64) *catalog.Table {
 		return catalog.NewTable(name, rows, []catalog.Column{
-			{Name: "k", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: rows, Min: 0, Max: rows}}})
+			{Name: "k", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: rows, Min: 0, Max: rows}},
+			{Name: "k2", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 50, Min: 0, Max: 50}}})
+	}
+	// The second block correlates the anti join on a second column, an
+	// inner clause crossing into the subquery side: the join evaluates it
+	// as one of its conditions, so it must not yield a filter either.
+	for _, correlated := range []bool{false, true} {
+		b := &query.Block{
+			Name: "anti",
+			Relations: []query.Relation{
+				{Alias: "a", Table: mk("a", 1e6)},
+				{Alias: "b", Table: mk("b", 1e5)},
+			},
+			Clauses: []query.JoinClause{
+				{Type: query.Anti, LeftRel: 0, LeftCol: "k", RightRel: 1, RightCol: "k", SubRels: query.NewRelSet(1)},
+			},
+		}
+		if correlated {
+			b.Clauses = append(b.Clauses, query.JoinClause{Type: query.Inner, LeftRel: 0, LeftCol: "k2", RightRel: 1, RightCol: "k2"})
+		}
+		res, err := Optimize(b, exampleOptions(BFCBO))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Candidates != 0 || res.Plan.CountBlooms() != 0 {
+			t.Fatalf("correlated=%v: anti join must not produce Bloom filters: cands=%d blooms=%d",
+				correlated, res.Candidates, res.Plan.CountBlooms())
+		}
+		// And the join itself must be a hash anti join with preserve side outer.
+		joins := res.Plan.Joins()
+		if len(joins) != 1 || joins[0].JoinType != query.Anti || joins[0].Method != plan.HashJoin {
+			t.Fatalf("correlated=%v: unexpected join shape: %+v", correlated, joins[0])
+		}
+		if joins[0].Outer.Rels() != query.NewRelSet(0) {
+			t.Fatalf("correlated=%v: anti join preserve side must be outer, got %s", correlated, joins[0].Outer.Rels())
+		}
+	}
+}
+
+// A left join correlated on a second column: a filter may reach from the
+// preserved side into the nullable side, never the other way, in either
+// Bloom mode.
+func TestLeftJoinNeverFiltersPreservedSide(t *testing.T) {
+	mk := func(name string, rows float64) *catalog.Table {
+		return catalog.NewTable(name, rows, []catalog.Column{
+			{Name: "k", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: rows, Min: 0, Max: rows}},
+			{Name: "k2", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 1000, Min: 0, Max: 1000}},
+			{Name: "v", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 100, Min: 0, Max: 100}},
+		})
 	}
 	b := &query.Block{
-		Name: "anti",
+		Name: "left",
 		Relations: []query.Relation{
 			{Alias: "a", Table: mk("a", 1e6)},
-			{Alias: "b", Table: mk("b", 1e5)},
+			{Alias: "b", Table: mk("b", 1e4), Pred: query.CmpInt{Col: "v", Op: query.LT, Val: 2}},
 		},
 		Clauses: []query.JoinClause{
-			{Type: query.Anti, LeftRel: 0, LeftCol: "k", RightRel: 1, RightCol: "k", SubRels: query.NewRelSet(1)},
+			{Type: query.Left, LeftRel: 0, LeftCol: "k", RightRel: 1, RightCol: "k", SubRels: query.NewRelSet(1)},
+			{Type: query.Inner, LeftRel: 0, LeftCol: "k2", RightRel: 1, RightCol: "k2"},
 		},
 	}
-	res, err := Optimize(b, exampleOptions(BFCBO))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Candidates != 0 || res.Plan.CountBlooms() != 0 {
-		t.Fatalf("anti join must not produce Bloom filters: cands=%d blooms=%d",
-			res.Candidates, res.Plan.CountBlooms())
-	}
-	// And the join itself must be a hash anti join with preserve side outer.
-	joins := res.Plan.Joins()
-	if len(joins) != 1 || joins[0].JoinType != query.Anti || joins[0].Method != plan.HashJoin {
-		t.Fatalf("unexpected join shape: %+v", joins[0])
-	}
-	if joins[0].Outer.Rels() != query.NewRelSet(0) {
-		t.Fatalf("anti join preserve side must be outer, got %s", joins[0].Outer.Rels())
+	for _, mode := range []Mode{BFCBO, BFPost} {
+		res, err := Optimize(b, exampleOptions(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bf := range res.Plan.Blooms {
+			if bf.ApplyRel == 0 {
+				t.Fatalf("%s: Bloom filter %d from the nullable side filters the preserved side:\n%s",
+					mode, bf.ID, res.Plan.Explain())
+			}
+		}
 	}
 }
 

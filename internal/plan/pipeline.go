@@ -175,7 +175,7 @@ func (d *decomposer) emit(pl *Pipeline) *Pipeline {
 
 // build returns the open pipeline whose current stream is n's output.
 // Breaker-side pipelines are emitted (closed) along the way, inner side
-// first — the same order the legacy recursive interpreter executed them.
+// first, so every build precedes the probe that reads it.
 func (d *decomposer) build(n Node) (*Pipeline, error) {
 	switch t := n.(type) {
 	case *Scan:

@@ -13,8 +13,8 @@ func scanNode(rel int, alias string) *Scan {
 
 func TestDecomposeHashChain(t *testing.T) {
 	// HJ(HJ(s0, s1), s2): the probe spine s0 runs fused through both
-	// probes; each build side is its own earlier pipeline, in the same
-	// inner-first order the legacy interpreter executed (s2, s1, s0).
+	// probes; each build side is its own earlier pipeline, in inner-first
+	// order (s2, s1, s0).
 	j1 := &Join{Method: HashJoin, JoinType: query.Inner,
 		Outer: scanNode(0, "a"), Inner: scanNode(1, "b"),
 		Conds: []Cond{{OuterRel: 0, OuterCol: "x", InnerRel: 1, InnerCol: "x"}}}

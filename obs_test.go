@@ -179,11 +179,11 @@ func TestMetricsAgreeWithSchedStats(t *testing.T) {
 	}
 }
 
-// TestLegacyExplainAnalyzeSchedulerLine: the legacy interpreter now holds a
-// worker slot for its whole run, so EXPLAIN ANALYZE must report the
-// scheduler line there too (it used to be silently omitted).
-func TestLegacyExplainAnalyzeSchedulerLine(t *testing.T) {
-	e, err := Open(Config{ScaleFactor: 0.003, Seed: 9, DOP: 4, LegacyExecutor: true})
+// TestExplainAnalyzeSchedulerLine: every run holds worker slots leased
+// from the scheduler, so EXPLAIN ANALYZE must report the scheduler line
+// and a nonzero slot occupancy.
+func TestExplainAnalyzeSchedulerLine(t *testing.T) {
+	e, err := Open(Config{ScaleFactor: 0.003, Seed: 9, DOP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +196,10 @@ func TestLegacyExplainAnalyzeSchedulerLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.ExplainAnalyze, "scheduler:") {
-		t.Fatalf("legacy EXPLAIN ANALYZE omits scheduler line:\n%s", out.ExplainAnalyze)
+		t.Fatalf("EXPLAIN ANALYZE omits scheduler line:\n%s", out.ExplainAnalyze)
 	}
 	if out.Sched.SlotBusy <= 0 {
-		t.Fatalf("legacy run reports no slot occupancy: %+v", out.Sched)
+		t.Fatalf("run reports no slot occupancy: %+v", out.Sched)
 	}
 }
 
